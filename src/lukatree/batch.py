@@ -12,9 +12,11 @@ replicate trees of one counts tuple side by side as numpy rows:
 Per-row word distributions are therefore *exactly* those of the scalar
 pipelines; what this engine does not model is the fair-bit cost, so every
 bit-counting claim in the package is measured on the scalar side.  Rotation
-to the Lukasiewicz representative and the height computation are plain array
-re-implementations of the scalar ones and are cross-checked against them in
-the tests, word for word.
+to the Lukasiewicz representative is the array form of the scalar cycle
+lemma.  Heights come from the height process of the Lukasiewicz path, the
+recurrence of :func:`lukatree.words.word_height` run on all rows at once.
+Both are cross-checked against the scalar code in the tests, word
+for word.
 """
 
 from __future__ import annotations
@@ -47,17 +49,15 @@ def batch_valid_words(
         return words
     if method != "dichotomic":
         raise ValueError(f"unknown method {method!r}")
-    remaining = np.tile(np.asarray(counts, dtype=np.int64), (reps, 1))
+    # bounds[r, j] = letters 0..j still to place in row r; the letter drawn
+    # is the number of these interior boundaries at or below v
+    bounds = np.tile(np.cumsum(counts[:-1], dtype=np.int64), (reps, 1))
     words = np.empty((reps, n), dtype=np.int8)
-    rows = np.arange(reps)
     for pos in range(n):
-        total = n - pos
-        v = rng.integers(0, total, size=reps)
-        cum = np.cumsum(remaining, axis=1)
-        # letter = number of interior cumulative boundaries <= v
-        letter = (v[:, None] >= cum[:, :-1]).sum(axis=1, dtype=np.int64)
-        words[:, pos] = letter
-        remaining[rows, letter] -= 1
+        v = rng.integers(0, n - pos, size=reps)
+        above = v[:, None] >= bounds
+        words[:, pos] = above.sum(axis=1)
+        bounds -= ~above  # one fewer of the drawn letter: later boundaries drop
     return words
 
 
@@ -74,36 +74,31 @@ def batch_rotate(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
 def batch_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     """Tree height of each row, the rows being Lukasiewicz words (int32).
 
-    Vectorized version of the preorder stack walk: a node's depth is the
-    stack size on arrival; internal nodes push their child count; a leaf pops
-    every exhausted ancestor and then consumes one slot of the survivor.
+    Node m of the preorder sits at depth H_m = #{j < m : S_j = min S_j..S_m},
+    the height process of the path S_j = degree sum of the first j letters.
+    No degree is below -1, so a leaf at level S_m closes exactly the open
+    nodes opened at that level; a per-row count of open nodes by level is
+    all the state needed, for arities of any size.
     """
     reps, n = words.shape
-    arity_of = (np.asarray(degrees, dtype=np.int16) + 1).astype(np.int8)
-    if arity_of.max(initial=0) > 127:
-        raise ValueError("arities above 127 not supported by the int8 stack")
-    arity = arity_of[words]
-    stack = np.zeros((reps, n), dtype=np.int8)
+    path = np.asarray(degrees, dtype=np.int32)[np.ascontiguousarray(words.T)]
+    grow = path >= 0  # (n, reps): the letter at this position opens a node
+    np.cumsum(path, axis=0, out=path)  # path[pos] = level after the step at pos
+    width = int(path.max(initial=0)) + 1
+    opened = np.zeros(reps * width, dtype=np.int32)  # open nodes by (row, level)
+    base = np.arange(reps) * width
+    cell = base.copy()  # flat index of (row, level before the step); S_0 = 0
     depth = np.zeros(reps, dtype=np.int32)
     best = np.zeros(reps, dtype=np.int32)
     for pos in range(n):
         np.maximum(best, depth, out=best)
-        c = arity[:, pos]
-        push = c > 0
-        stack[push, depth[push]] = c[push]
-        depth[push] += 1
-        active = np.flatnonzero(~push)
-        while active.size:
-            active = active[depth[active] > 0]
-            if not active.size:
-                break
-            top = stack[active, depth[active] - 1]
-            exhausted = top == 1
-            poppers = active[exhausted]
-            depth[poppers] -= 1
-            survivors = active[~exhausted]
-            stack[survivors, depth[survivors] - 1] -= 1
-            active = poppers
+        here = opened[cell]
+        now = here + 1
+        now *= grow[pos]  # a node opens here (+1), or a leaf closes all of them
+        depth += now
+        depth -= here
+        opened[cell] = now
+        np.add(base, path[pos], out=cell)
     return best
 
 

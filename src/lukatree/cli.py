@@ -17,6 +17,7 @@ flag misuse with status 2.
 from __future__ import annotations
 
 import argparse
+import decimal
 import sys
 from typing import Sequence
 
@@ -146,7 +147,9 @@ def _cmd_count(args: argparse.Namespace) -> None:
     alphabet = parse_alphabet(args.alphabet)
     counts = parse_tuple(args.counts)
     fn = tutte_count if args.kind == "trees" else valid_word_count
-    print(fn(counts, alphabet))
+    # str() of an int refuses more than sys.get_int_max_str_digits() digits;
+    # an exact Decimal prints them all without touching that process-wide cap
+    print(decimal.Decimal(fn(counts, alphabet)))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> None:

@@ -28,10 +28,10 @@ import numpy as np
 
 from .alphabet import DegreeTuple, motzkin_alphabet
 from .batch import sample_heights
-from .bitstream import BitSource
-from .errors import DomainTooSmallError, InfeasibleParityError
-from .samplers import DiscreteWeights, dichotomic_draw, mean_cost_closed_form, sample_tree
-from .tree import height
+from .bitstream import _MASK64, BitSource
+from .errors import DomainTooSmallError, InfeasibleParityError, LukatreeError
+from .samplers import DiscreteWeights, dichotomic_draw, mean_cost_closed_form, sample_lukasiewicz_word
+from .words import word_height
 
 __all__ = [
     "motzkin_tuple",
@@ -115,16 +115,25 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
     Each fraction maps to u = round(fraction * n), parity-adjusted via
     nearest_feasible_unary.  The batch engine (default) vectorizes the
     replicates; the scalar engine drives the bit-level pipelines with one
-    BitSource per replicate seeded seed XOR replicate-index.  Either way the
-    run is deterministic for a fixed config.
+    BitSource per replicate seeded seed XOR replicate-index.  Both measure
+    heights with the same height-process recurrence (word_height and
+    batch_heights).  Either way the run is deterministic for a fixed config;
+    like BitSource, the batch engine reads the seed modulo 2^64.
     """
+    if cfg.replicates < 1:
+        raise DomainTooSmallError(f"need at least one replicate, got {cfg.replicates}")
+    if not cfg.unary_fractions:
+        raise LukatreeError("need at least one unary fraction")
+    for fraction in cfg.unary_fractions:
+        if not 0.0 <= fraction < 1.0:  # also false for NaN
+            raise LukatreeError(f"unary fraction {fraction!r} is not in [0, 1)")
     alphabet = motzkin_alphabet()
     rows = []
     for row_idx, fraction in enumerate(cfg.unary_fractions):
         u = nearest_feasible_unary(cfg.n, round(fraction * cfg.n))
         t = motzkin_tuple(cfg.n, u)
         if cfg.engine == "batch":
-            rng = np.random.default_rng([cfg.seed, row_idx])
+            rng = np.random.default_rng([cfg.seed & _MASK64, row_idx])
             heights = sample_heights(
                 rng, t.counts, alphabet.degrees, cfg.replicates, cfg.method
             )
@@ -132,7 +141,8 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
             heights = np.empty(cfg.replicates, dtype=np.int32)
             for rep in range(cfg.replicates):
                 source = BitSource(cfg.seed ^ rep)
-                heights[rep] = height(sample_tree(source, t, alphabet, cfg.method))
+                word = sample_lukasiewicz_word(source, t, alphabet, cfg.method)
+                heights[rep] = word_height(word, alphabet)
         else:
             raise ValueError(f"unknown engine {cfg.engine!r}")
         c = t.counts[2]

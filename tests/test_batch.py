@@ -16,6 +16,10 @@ from lukatree import (
 from lukatree.batch import batch_heights, batch_rotate, batch_valid_words, sample_heights
 
 
+def rows_to_heights(rows, alphabet):
+    return [height(word_to_tree(tuple(int(x) for x in row), alphabet)) for row in rows]
+
+
 def test_rows_are_arrangements_of_the_multiset(motzkin):
     counts = (3, 1, 2)
     for method in ("dichotomic", "permutation"):
@@ -69,10 +73,15 @@ def test_wide_arity_alphabet_matches_scalar():
 def test_height_edge_rows(motzkin):
     single = np.zeros((1, 1), dtype=np.int8)
     assert batch_heights(single, motzkin.degrees).tolist() == [0]
+    assert batch_heights(np.zeros((3, 1), dtype=np.int8), (-1, 4)).tolist() == [0] * 3
     caterpillar = np.array([[1] * 120 + [0]], dtype=np.int8)
     assert batch_heights(caterpillar, motzkin.degrees).tolist() == [120]
     bushy = np.array([[2, 0, 2, 1, 0, 1, 0]], dtype=np.int8)  # cacbaba
     assert batch_heights(bushy, motzkin.degrees).tolist() == [3]
+    # combs of 200 binary nodes: left (path climbs to 200) and right (zigzag)
+    combs = np.array([[2] * 200 + [0] * 201, [2, 0] * 200 + [0]], dtype=np.int8)
+    assert batch_heights(combs, motzkin.degrees).tolist() == [200, 200]
+    assert rows_to_heights(combs, motzkin) == [200, 200]
 
 
 def test_batch_law_agrees_with_scalar_pipelines(motzkin):
@@ -133,3 +142,56 @@ def test_sample_heights_chunking_preserves_law(motzkin):
     gap = np.sqrt(small.var(ddof=1) / small.size + large.var(ddof=1) / large.size)
     assert abs(small.mean() - large.mean()) < 6 * gap
     assert 0.8 < small.std(ddof=1) / large.std(ddof=1) < 1.25
+
+
+# Rows of batch_valid_words(default_rng(1), (9, 3, 2, 2), 6, method), one
+# digit per letter index.  Same seed, same words: a faster fill must still
+# consume the numpy stream exactly this way.
+PINNED_WORDS = {
+    "dichotomic": [
+        "0200203013000101",
+        "0320000030110021",
+        "2003030001001120",
+        "3001200010021003",
+        "0312000000123100",
+        "0010002313020100",
+    ],
+    "permutation": [
+        "0201300001021003",
+        "0200001210100330",
+        "1102301003000200",
+        "0011000003002312",
+        "2210003001030010",
+        "2100330002100100",
+    ],
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_WORDS))
+def test_batch_valid_words_pinned_rows(method):
+    words = batch_valid_words(np.random.default_rng(1), (9, 3, 2, 2), 6, method)
+    assert ["".join(map(str, row)) for row in words.tolist()] == PINNED_WORDS[method]
+
+
+def test_heights_beyond_int8_arity():
+    # arity 200: a root with 200 leaf children, whose path reaches n - 2, and
+    # a spine of 50 such nodes, each the first child of the one before
+    star = make_tree_alphabet(("a", "b"), (-1, 199))
+    fan = np.array([[1] + [0] * 200], dtype=np.int8)
+    assert batch_heights(fan, star.degrees).tolist() == [1]
+    spine = np.array([[1] * 50 + [0] * (50 * 199 + 1)], dtype=np.int8)
+    assert batch_heights(spine, star.degrees).tolist() == [50]
+    assert rows_to_heights(fan, star) + rows_to_heights(spine, star) == [1, 50]
+    rng = np.random.default_rng(2)
+    rows = batch_rotate(batch_valid_words(rng, (399, 2), 40), star.degrees)
+    assert batch_heights(rows, star.degrees).tolist() == rows_to_heights(rows, star)
+
+
+def test_heights_four_letter_alphabet_row_by_row():
+    alphabet = make_tree_alphabet(("a", "b", "c", "d"), (-1, 0, 1, 3))
+    for counts, reps in (((9, 3, 2, 2), 300), ((61, 10, 12, 16), 60)):
+        rng = np.random.default_rng(counts[0])
+        rows = batch_rotate(batch_valid_words(rng, counts, reps), alphabet.degrees)
+        got = batch_heights(rows, alphabet.degrees)
+        assert got.dtype == np.int32
+        assert got.tolist() == rows_to_heights(rows, alphabet)

@@ -1,9 +1,15 @@
+import contextlib
+import decimal
+import io
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lukatree
 from lukatree import HEIGHT_SCAN_COLUMNS
@@ -245,3 +251,134 @@ def test_module_and_script_entry_points():
         assert bad.returncode == 1 and bad.stdout == "", (launcher, bad.stderr)
         lines = bad.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("lukatree: error:"), lines
+
+
+# Output of `height-scan --n 101 --fractions 0,0.5,0.9 --replicates 64
+# --seed 3`: the same seed must keep giving the same bytes.
+PINNED_SCANS = {
+    "dicho": (
+        "0.0,0,50,101,64,20.375000,2.027388,1.426465,4.651335\n"
+        "0.5,50,25,101,64,29.718750,2.957126,1.471225,6.501450\n"
+        "0.9,90,5,101,64,56.328125,5.604858,1.247065,9.918805\n"
+    ),
+    "perm": (
+        "0.0,0,50,101,64,20.531250,2.042936,1.437405,4.090130\n"
+        "0.5,50,25,101,64,29.750000,2.960236,1.472772,6.236096\n"
+        "0.9,90,5,101,64,53.531250,5.326558,1.185144,11.641427\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_SCANS))
+def test_height_scan_pinned_csv(capsys, method):
+    code, out, err = run_cli(
+        capsys,
+        "height-scan",
+        "--n",
+        "101",
+        "--fractions",
+        "0,0.5,0.9",
+        "--replicates",
+        "64",
+        "--seed",
+        "3",
+        "--method",
+        method,
+    )
+    assert code == 0 and err == ""
+    assert out == HEIGHT_SCAN_COLUMNS + "\n" + PINNED_SCANS[method]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--replicates", "0"),
+        ("--replicates", "-3"),
+        ("--fractions", "nan"),
+        ("--fractions", "0.2,inf"),
+        ("--fractions", "1"),
+        ("--fractions", "-0.25"),
+    ],
+)
+def test_height_scan_bad_input_is_a_domain_error(capsys, flags):
+    code, out, err = run_cli(capsys, "height-scan", "--n", "15", *flags)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lukatree: error:"), lines
+
+
+def test_height_scan_negative_seed_is_read_modulo_2_64(capsys):
+    argv = ("height-scan", "--n", "21", "--fractions", "0,0.5", "--replicates", "8")
+    code, out, err = run_cli(capsys, *argv, "--seed", "-5")
+    assert code == 0 and err == ""
+    # the bytes of --seed 18446744073709551611, that is 2^64 - 5
+    assert out == (
+        HEIGHT_SCAN_COLUMNS + "\n"
+        "0.0,0,10,21,8,7.250000,1.582080,1.091739,1.164965\n"
+        "0.5,10,5,21,8,11.000000,2.400397,1.171274,2.507133\n"
+    )
+    assert run_cli(capsys, *argv, "--seed", str(2**64 - 5)) == (0, out, "")
+
+
+def test_count_prints_answers_past_the_int_str_digit_cap(capsys):
+    # Catalan(10000) has 6015 digits, more than str() of an int allows by default
+    code, out, err = run_cli(capsys, "count", "--alphabet", BINARY, "--tuple", "10001,10000")
+    assert code == 0 and err == ""
+    text = out.strip()
+    assert len(text) == 6015 and text.isdigit()
+    assert int(decimal.Decimal(text)) == math.comb(20000, 10000) // 10001
+
+
+def run_quiet(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def number_text(values):
+    return st.one_of(values.map(str), st.sampled_from(["", "x", "1e3", "nan", "0x10"]))
+
+
+FRACTION_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(0, 1).map(repr),
+    st.sampled_from(["", "x", "1/2", " 0.3", "-inf"]),
+)
+
+
+@st.composite
+def height_scan_argv(draw):
+    argv = ["height-scan"]
+    if draw(st.integers(0, 9)):  # --n is required; leave it out now and then
+        argv += ["--n", draw(number_text(st.integers(-3, 30)))]
+    if draw(st.booleans()):
+        fractions = draw(st.lists(FRACTION_TEXT, min_size=1, max_size=3))
+        argv += ["--fractions", ",".join(fractions)]
+    argv += ["--replicates", draw(number_text(st.integers(-3, 12)))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(number_text(st.integers(-(2**70), 2**70)))]
+    if draw(st.booleans()):
+        argv += ["--method", draw(st.sampled_from(["dicho", "perm", "magic"]))]
+    if draw(st.booleans()):
+        argv += ["--engine", draw(st.sampled_from(["batch", "scalar", "gpu"]))]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(height_scan_argv())
+def test_height_scan_argv_never_crashes(argv):
+    code, out, err = run_quiet(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    assert "nan" not in out
+    if code == 0:
+        assert out.startswith(HEIGHT_SCAN_COLUMNS + "\n") and out.count("\n") >= 2
+    elif code == 1:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1, (argv, err)
+        assert lines[0].startswith("lukatree: error:")

@@ -9,6 +9,7 @@ from lukatree import (
     DomainTooSmallError,
     HeightScanConfig,
     InfeasibleParityError,
+    LukatreeError,
     bitcost_csv,
     height_scan_csv,
     mean_cost_closed_form,
@@ -100,6 +101,37 @@ def test_height_scan_scalar_engine_agrees_with_batch():
                 (b.stddev**2) / b.replicates + (s.stddev**2) / s.replicates
             )
             assert abs(b.mean_height - s.mean_height) < 6 * gap
+
+
+@pytest.mark.parametrize(
+    "fractions, replicates",
+    [
+        ((0.0,), 0),
+        ((0.0,), -2),
+        ((), 4),
+        ((math.nan,), 4),
+        ((0.1, math.inf), 4),
+        ((-math.inf,), 4),
+        ((1.0,), 4),
+        ((-0.1,), 4),
+    ],
+)
+@pytest.mark.parametrize("engine", ["batch", "scalar"])
+def test_height_scan_rejects_bad_config(fractions, replicates, engine):
+    cfg = HeightScanConfig(
+        n=9, unary_fractions=fractions, replicates=replicates, engine=engine
+    )
+    with pytest.raises(LukatreeError):
+        run_height_scan(cfg)
+
+
+def test_height_scan_reads_the_seed_modulo_2_64():
+    def scan(seed):
+        cfg = HeightScanConfig(n=21, unary_fractions=(0.5,), replicates=16, seed=seed)
+        return run_height_scan(cfg)
+
+    assert scan(-1) == scan(2**64 - 1) == scan(2**65 - 1)
+    assert scan(-1) != scan(1)
 
 
 def test_height_scan_rejects_unknown_engine():

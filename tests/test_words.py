@@ -1,17 +1,21 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lukatree import (
+    ArityMismatchError,
     Classification,
     LukasiewiczWord,
     NotAPermutationError,
     NotAValidWordError,
     TupleNotValidError,
     classify,
+    enumerate_lukasiewicz,
+    height,
     make_tree_alphabet,
     motzkin_tuple,
     path_heights,
@@ -19,7 +23,10 @@ from lukatree import (
     rotation_index,
     rotations_that_are_lukasiewicz,
     to_lukasiewicz,
+    word_height,
+    word_to_tree,
 )
+from lukatree.batch import batch_heights
 from lukatree.enumeration import enumerate_valid_words
 
 
@@ -167,3 +174,27 @@ def test_cycle_lemma_property(pair):
     heights = path_heights(rotated, alphabet)
     assert heights[-1] == -1
     assert all(h >= 0 for h in heights[:-1])
+
+
+def test_word_height_matches_tree_height_exhaustively(motzkin):
+    # every Motzkin tree with at most 10 nodes, by scalar and batch recurrence
+    for n in range(1, 11):
+        words = [
+            word
+            for u in range(n)
+            if (n - u) % 2 == 1
+            for word in enumerate_lukasiewicz(motzkin_tuple(n, u), motzkin)
+        ]
+        expected = [height(word_to_tree(word, motzkin)) for word in words]
+        assert [word_height(word, motzkin) for word in words] == expected
+        rows = np.array(words, dtype=np.int8)
+        assert batch_heights(rows, motzkin.degrees).tolist() == expected
+
+
+def test_word_height_rejects_non_lukasiewicz(motzkin):
+    assert word_height((0,), motzkin) == 0
+    for word in ((), (2, 0), (0, 0), (1, 0, 0), (0, 2, 0), (2, 0, 0, 0)):
+        with pytest.raises(NotAValidWordError):
+            word_height(word, motzkin)
+    with pytest.raises(ArityMismatchError):
+        word_height((3,), motzkin)
