@@ -17,7 +17,6 @@ from .alphabet import (
     format_alphabet,
     format_tuple,
     is_f_valid,
-    make_tree_alphabet,
     motzkin_alphabet,
     parse_alphabet,
     parse_tuple,
@@ -34,13 +33,10 @@ from .enumeration import (
     valid_word_count,
 )
 from .errors import (
+    AlphabetError,
     ArityMismatchError,
-    DegreeBelowMinusOneError,
-    DegreesNotSortedError,
     DomainTooSmallError,
-    DuplicateLetterError,
     EmptySupportError,
-    FirstDegreeNotMinusOneError,
     InfeasibleParityError,
     LimitExceededError,
     LukatreeError,
@@ -64,10 +60,8 @@ from .experiments import (
 from .samplers import (
     METHODS,
     DiscreteWeights,
-    DyadicInterval,
     dichotomic_draw,
     mean_cost_closed_form,
-    measure_bit_cost,
     sample_lukasiewicz_word,
     sample_tree,
     tuple_to_valid_word,

@@ -25,21 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import (
-    ArityMismatchError,
-    DegreeBelowMinusOneError,
-    DegreesNotSortedError,
-    DuplicateLetterError,
-    FirstDegreeNotMinusOneError,
-)
+from .errors import AlphabetError, ArityMismatchError, TupleNotValidError
 
 __all__ = [
     "TreeAlphabet",
     "DegreeTuple",
-    "make_tree_alphabet",
     "motzkin_alphabet",
     "binary_alphabet",
     "is_f_valid",
+    "f_valid_counts",
     "degree_counts",
     "parse_alphabet",
     "format_alphabet",
@@ -53,7 +47,9 @@ class TreeAlphabet:
     """An ordered alphabet of letters with degree function f.
 
     letters -- tuple of distinct single printable characters
-    degrees -- tuple of integers, non-decreasing, first entry -1, all >= -1
+    degrees -- tuple of integers, non-decreasing, first entry -1 (so all >= -1)
+
+    Anything else raises :class:`AlphabetError`.
     """
 
     letters: tuple[str, ...]
@@ -65,25 +61,21 @@ class TreeAlphabet:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "degrees", degrees)
         if len(letters) != len(degrees) or not letters:
-            raise ArityMismatchError(
+            raise AlphabetError(
                 f"need equally many letters and degrees, got {len(letters)} letters "
                 f"and {len(degrees)} degrees"
             )
         for sym in letters:
             if len(sym) != 1 or not sym.isprintable() or sym in ",:":
-                raise DuplicateLetterError(
+                raise AlphabetError(
                     f"letter symbol {sym!r} is not a single printable character"
                 )
         if len(set(letters)) != len(letters):
-            raise DuplicateLetterError(f"duplicate letter symbol in {letters!r}")
+            raise AlphabetError(f"duplicate letter symbol in {letters!r}")
         if degrees[0] != -1:
-            raise FirstDegreeNotMinusOneError(
-                f"first letter must have degree -1, got {degrees[0]}"
-            )
-        if any(d < -1 for d in degrees):
-            raise DegreeBelowMinusOneError(f"degrees below -1 in {degrees!r}")
+            raise AlphabetError(f"first letter must have degree -1, got {degrees[0]}")
         if any(a > b for a, b in zip(degrees, degrees[1:])):
-            raise DegreesNotSortedError(f"degrees not non-decreasing: {degrees!r}")
+            raise AlphabetError(f"degrees not non-decreasing: {degrees!r}")
 
     @property
     def k(self) -> int:
@@ -95,7 +87,7 @@ class TreeAlphabet:
         try:
             return self.letters.index(symbol)
         except ValueError:
-            raise ArityMismatchError(
+            raise AlphabetError(
                 f"no letter {symbol!r} in alphabet {format_alphabet(self)}"
             ) from None
 
@@ -150,17 +142,7 @@ CountsLike = Union[DegreeTuple, Sequence[int]]
 
 def degree_counts(t: CountsLike) -> tuple[int, ...]:
     """Normalize a DegreeTuple or plain sequence of counts to a tuple of ints."""
-    if isinstance(t, DegreeTuple):
-        return t.counts
-    counts = tuple(int(c) for c in t)
-    if not counts or any(c < 0 for c in counts):
-        raise ArityMismatchError(f"counts must be non-negative and non-empty: {counts!r}")
-    return counts
-
-
-def make_tree_alphabet(letters: Sequence[str], degrees: Sequence[int]) -> TreeAlphabet:
-    """Validating constructor for :class:`TreeAlphabet`."""
-    return TreeAlphabet(tuple(letters), tuple(degrees))
+    return (t if isinstance(t, DegreeTuple) else DegreeTuple(t)).counts
 
 
 def motzkin_alphabet() -> TreeAlphabet:
@@ -180,12 +162,30 @@ def is_f_valid(t: CountsLike, alphabet: TreeAlphabet) -> bool:
     realizable as a rooted planar tree.  Zero counts are allowed: a tuple may
     simply not use some letters.
     """
+    try:
+        f_valid_counts(t, alphabet)
+    except TupleNotValidError:
+        return False
+    return True
+
+
+def f_valid_counts(t: CountsLike, alphabet: TreeAlphabet) -> tuple[int, ...]:
+    """The counts of t as a tuple of ints, checked to be f-valid.
+
+    Raises ArityMismatchError if they do not fit the alphabet and
+    TupleNotValidError if their weighted degree sum is not -1.
+    """
     counts = degree_counts(t)
     if len(counts) != alphabet.k:
         raise ArityMismatchError(
             f"{len(counts)} counts for an alphabet of {alphabet.k} letters"
         )
-    return sum(c * d for c, d in zip(counts, alphabet.degrees)) == -1
+    weighted = sum(c * d for c, d in zip(counts, alphabet.degrees))
+    if weighted != -1:
+        raise TupleNotValidError(
+            f"counts {counts!r} have weighted degree sum {weighted}, need -1"
+        )
+    return counts
 
 
 # -- text forms --------------------------------------------------------------
@@ -200,13 +200,13 @@ def parse_alphabet(text: str) -> TreeAlphabet:
     for item in text.split(","):
         sym, sep, deg = item.strip().partition(":")
         if not sep:
-            raise ArityMismatchError(f"malformed alphabet item {item!r}, want sym:degree")
+            raise AlphabetError(f"malformed alphabet item {item!r}, want sym:degree")
         try:
             degrees.append(int(deg))
         except ValueError:
-            raise ArityMismatchError(f"malformed degree in alphabet item {item!r}") from None
+            raise AlphabetError(f"malformed degree in alphabet item {item!r}") from None
         letters.append(sym)
-    return make_tree_alphabet(letters, degrees)
+    return TreeAlphabet(tuple(letters), tuple(degrees))
 
 
 def format_alphabet(alphabet: TreeAlphabet) -> str:
@@ -217,11 +217,10 @@ def format_alphabet(alphabet: TreeAlphabet) -> str:
 def parse_tuple(text: str) -> DegreeTuple:
     """Parse the "3,1,2" text form of a counts tuple."""
     try:
-        return DegreeTuple(tuple(int(c) for c in text.split(",")))
-    except ValueError as exc:
-        if isinstance(exc, ArityMismatchError):
-            raise
+        counts = tuple(int(c) for c in text.split(","))
+    except ValueError:
         raise ArityMismatchError(f"malformed counts tuple {text!r}") from None
+    return DegreeTuple(counts)
 
 
 def format_tuple(t: CountsLike) -> str:

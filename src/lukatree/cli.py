@@ -24,7 +24,7 @@ from typing import Sequence
 from .alphabet import parse_alphabet, parse_tuple
 from .bitstream import BitSource
 from .enumeration import DEFAULT_ENUMERATION_LIMIT, enumerate_lukasiewicz, tutte_count, valid_word_count
-from .errors import LukatreeError
+from .errors import DomainTooSmallError, LukatreeError
 from .experiments import (
     HeightScanConfig,
     bitcost_csv,
@@ -123,6 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args: argparse.Namespace) -> None:
+    if args.count < 1:
+        raise DomainTooSmallError(f"need at least one tree, got --count {args.count}")
     alphabet = parse_alphabet(args.alphabet)
     counts = parse_tuple(args.counts)
     method = _METHOD_NAMES[args.method]

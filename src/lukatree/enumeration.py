@@ -19,8 +19,8 @@ from typing import Iterator, Mapping, Sequence
 
 from scipy.special import gammaincc
 
-from .alphabet import CountsLike, TreeAlphabet, degree_counts, is_f_valid
-from .errors import EmptySupportError, LimitExceededError, TupleNotValidError
+from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
+from .errors import EmptySupportError, LimitExceededError
 from .words import LukasiewiczWord
 
 __all__ = [
@@ -37,16 +37,6 @@ __all__ = [
 DEFAULT_ENUMERATION_LIMIT = 12
 
 
-def _checked_counts(t: CountsLike, alphabet: TreeAlphabet) -> tuple[int, ...]:
-    counts = degree_counts(t)
-    if not is_f_valid(counts, alphabet):
-        weighted = sum(c * d for c, d in zip(counts, alphabet.degrees))
-        raise TupleNotValidError(
-            f"counts {counts!r} have weighted degree sum {weighted}, need -1"
-        )
-    return counts
-
-
 def _multinomial(total: int, counts: Sequence[int]) -> int:
     # product of binomials keeps every intermediate an exact small-ish integer
     out = 1
@@ -60,7 +50,7 @@ def _multinomial(total: int, counts: Sequence[int]) -> int:
 
 def valid_word_count(t: CountsLike, alphabet: TreeAlphabet) -> int:
     """Number of valid words with letter counts t: n! / prod n_i!."""
-    counts = _checked_counts(t, alphabet)
+    counts = f_valid_counts(t, alphabet)
     return _multinomial(sum(counts), counts)
 
 
@@ -69,7 +59,7 @@ def tutte_count(t: CountsLike, alphabet: TreeAlphabet) -> int:
 
     Equals valid_word_count / n exactly (cycle lemma).
     """
-    counts = _checked_counts(t, alphabet)
+    counts = f_valid_counts(t, alphabet)
     n = sum(counts)
     words = _multinomial(n, counts)
     trees, rem = divmod(words, n)
@@ -118,7 +108,7 @@ def enumerate_lukasiewicz(
     Refuses tuples with total above `limit` (default 12): the output grows
     like (n-1)!/prod n_i! and exhaustion is meant for oracle-sized inputs.
     """
-    counts = _checked_counts(t, alphabet)
+    counts = f_valid_counts(t, alphabet)
     n = sum(counts)
     if n > limit:
         raise LimitExceededError(
@@ -135,7 +125,7 @@ def enumerate_valid_words(
     t: CountsLike, alphabet: TreeAlphabet, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> list[tuple[int, ...]]:
     """All valid words with letter counts t (every arrangement of the multiset)."""
-    counts = _checked_counts(t, alphabet)
+    counts = f_valid_counts(t, alphabet)
     if sum(counts) > limit:
         raise LimitExceededError(
             f"tuple total {sum(counts)} exceeds enumeration limit {limit}"

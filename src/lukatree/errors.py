@@ -6,31 +6,35 @@ The CLI maps LukatreeError to exit code 1 and leaves flag misuse to argparse
 (exit code 2).
 """
 
+__all__ = [
+    "LukatreeError", "AlphabetError", "ArityMismatchError", "NotAValidWordError",
+    "NotAPermutationError", "TupleNotValidError", "DomainTooSmallError",
+    "LimitExceededError", "EmptySupportError", "InfeasibleParityError",
+]
+
 
 class LukatreeError(ValueError):
     """Base class for all domain errors raised by this package."""
 
 
-# -- alphabet construction ---------------------------------------------------
+# -- alphabets and what must fit them --------------------------------------
 
-class DuplicateLetterError(LukatreeError):
-    """Two letters of the alphabet share the same symbol."""
+class AlphabetError(LukatreeError):
+    """The alphabet itself is malformed.
 
-
-class FirstDegreeNotMinusOneError(LukatreeError):
-    """The first letter of a tree alphabet must have degree -1."""
-
-
-class DegreesNotSortedError(LukatreeError):
-    """Degrees of a tree alphabet must be non-decreasing."""
-
-
-class DegreeBelowMinusOneError(LukatreeError):
-    """No letter of a tree alphabet may have degree below -1."""
+    Raised for a bad or duplicate letter symbol, a first degree other than
+    -1, degrees out of order, unequal or empty letter and degree lists,
+    malformed "sym:degree" text, and a symbol the alphabet does not have.
+    """
 
 
 class ArityMismatchError(LukatreeError):
-    """A counts tuple has a different length than its alphabet."""
+    """A word or counts tuple does not fit its alphabet.
+
+    A letter index outside the alphabet, a character that is no letter of
+    it, a counts tuple of the wrong length, or counts that are negative,
+    empty or not integers.
+    """
 
 
 # -- words and permutations --------------------------------------------------

@@ -114,8 +114,8 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
 
     Each fraction maps to u = round(fraction * n), parity-adjusted via
     nearest_feasible_unary.  The batch engine (default) vectorizes the
-    replicates; the scalar engine drives the bit-level pipelines with one
-    BitSource per replicate seeded seed XOR replicate-index.  Both measure
+    replicates; the scalar engine drives the bit-level pipelines from one
+    BitSource(seed), drawing every tree of the scan in turn.  Both measure
     heights with the same height-process recurrence (word_height and
     batch_heights).  Either way the run is deterministic for a fixed config;
     like BitSource, the batch engine reads the seed modulo 2^64.
@@ -128,6 +128,7 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
         if not 0.0 <= fraction < 1.0:  # also false for NaN
             raise LukatreeError(f"unary fraction {fraction!r} is not in [0, 1)")
     alphabet = motzkin_alphabet()
+    source = BitSource(cfg.seed)
     rows = []
     for row_idx, fraction in enumerate(cfg.unary_fractions):
         u = nearest_feasible_unary(cfg.n, round(fraction * cfg.n))
@@ -140,7 +141,6 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
         elif cfg.engine == "scalar":
             heights = np.empty(cfg.replicates, dtype=np.int32)
             for rep in range(cfg.replicates):
-                source = BitSource(cfg.seed ^ rep)
                 word = sample_lukasiewicz_word(source, t, alphabet, cfg.method)
                 heights[rep] = word_height(word, alphabet)
         else:

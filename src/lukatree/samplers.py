@@ -16,31 +16,29 @@ dichotomic  -- draw the word letter by letter from the shrinking multiset
                (O(n) bits), rotate it Lukasiewicz.
 
 Both are exactly uniform over the trees with counts t; they differ only in
-entropy cost, which :func:`measure_bit_cost` and the experiments quantify.
+entropy cost, which :func:`lukatree.experiments.run_bitcost_scan` measures
+per draw.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .alphabet import CountsLike, TreeAlphabet, degree_counts, is_f_valid
+from .alphabet import CountsLike, TreeAlphabet, degree_counts, f_valid_counts
 from .bitstream import BitSource, fisher_yates
-from .errors import DomainTooSmallError, TupleNotValidError
+from .errors import DomainTooSmallError
 from .tree import PlanarTree, word_to_tree
 from .words import LukasiewiczWord, permutation_to_valid_word, to_lukasiewicz
 
 __all__ = [
     "DiscreteWeights",
-    "DyadicInterval",
     "dichotomic_draw",
     "tuple_to_valid_word",
     "sample_tree",
     "sample_lukasiewicz_word",
     "mean_cost_closed_form",
-    "measure_bit_cost",
     "METHODS",
 ]
 
@@ -87,46 +85,32 @@ class DiscreteWeights:
             cum[j] -= 1
 
 
-@dataclass
-class DyadicInterval:
-    """The subinterval [low * n / 2^depth, high * n / 2^depth) of [0, n).
-
-    Numerators are exact integers; refining by a bit doubles the scale, so no
-    rounding ever happens.  A 1-bit keeps the upper half.
-    """
-
-    low: int = 0
-    high: int = 1
-    depth: int = 0
-
-    def refine(self, bit: int) -> None:
-        mid = self.low + self.high
-        if bit:
-            self.low = mid
-            self.high *= 2
-        else:
-            self.low *= 2
-            self.high = mid
-        self.depth += 1
-
-
 def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
     """Index i (0-based) with probability weights[i] / total, from fair bits.
 
     Zero-weight indices have zero probability: an empty segment can never
     contain the (always non-empty) interval.  If one index holds all the
     weight the draw is free.
+
+    The interval is [low * total / 2^depth, high * total / 2^depth), kept as
+    exact integers; refining by a bit doubles the scale, so no rounding ever
+    happens.  A 1-bit keeps the upper half.
     """
     cum = weights.cumulative
     total = cum[-1]
-    iv = DyadicInterval()
+    next_bit = source.next_bit
+    low, high, depth = 0, 1, 0
     while True:
         # candidate segment: the one containing the interval's lower endpoint
-        point = (iv.low * total) >> iv.depth
-        seg = bisect_right(cum, point) - 1
-        if iv.high * total <= cum[seg + 1] << iv.depth:
+        seg = bisect_right(cum, (low * total) >> depth) - 1
+        if high * total <= cum[seg + 1] << depth:
             return seg
-        iv.refine(source.next_bit())
+        mid = low + high
+        if next_bit():
+            low, high = mid, 2 * high
+        else:
+            low, high = 2 * low, mid
+        depth += 1
 
 
 def tuple_to_valid_word(
@@ -139,12 +123,7 @@ def tuple_to_valid_word(
     likely; the expected cost is below (2 + log2 k) bits per letter.  The
     final letter is forced and free.
     """
-    counts = degree_counts(t)
-    if not is_f_valid(counts, alphabet):
-        weighted = sum(c * d for c, d in zip(counts, alphabet.degrees))
-        raise TupleNotValidError(
-            f"counts {counts!r} have weighted degree sum {weighted}, need -1"
-        )
+    counts = f_valid_counts(t, alphabet)
     pool = DiscreteWeights(counts)
     word = []
     for _ in range(sum(counts)):
@@ -199,17 +178,3 @@ def mean_cost_closed_form(k: int) -> Fraction:
         raise DomainTooSmallError(f"closed form needs k >= 2, got {k}")
     j = (k - 1).bit_length() - 1
     return Fraction(j + 1) + Fraction(k, 1 << j)
-
-
-def measure_bit_cost(
-    k: int, weights: DiscreteWeights, replicates: int, source: BitSource
-) -> float:
-    """Monte-Carlo mean bits consumed per dichotomic draw from fixed weights."""
-    if weights.k != k:
-        raise DomainTooSmallError(f"weights have {weights.k} parts, expected {k}")
-    if replicates < 1:
-        raise DomainTooSmallError("need at least one replicate")
-    before = source.bits_consumed
-    for _ in range(replicates):
-        dichotomic_draw(source, weights)
-    return (source.bits_consumed - before) / replicates

@@ -18,10 +18,11 @@ shuffle, build the valid word, rotate.
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
 from typing import Sequence
 
-from .alphabet import CountsLike, TreeAlphabet, degree_counts, is_f_valid
-from .errors import ArityMismatchError, NotAPermutationError, NotAValidWordError, TupleNotValidError
+from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
+from .errors import ArityMismatchError, NotAPermutationError, NotAValidWordError
 
 __all__ = [
     "Classification",
@@ -69,12 +70,7 @@ def _steps(word: Sequence[int], alphabet: TreeAlphabet) -> list[int]:
 
 def path_heights(word: Sequence[int], alphabet: TreeAlphabet) -> list[int]:
     """Prefix sums s_1..s_n of the letter degrees (the lattice path)."""
-    heights = []
-    s = 0
-    for step in _steps(word, alphabet):
-        s += step
-        heights.append(s)
-    return heights
+    return list(accumulate(_steps(word, alphabet)))
 
 
 def word_height(word: Sequence[int], alphabet: TreeAlphabet) -> int:
@@ -108,21 +104,16 @@ def word_height(word: Sequence[int], alphabet: TreeAlphabet) -> int:
 
 
 def classify(word: Sequence[int], alphabet: TreeAlphabet) -> Classification:
-    """Sort a word into invalid / valid / Lukasiewicz, in one pass.
+    """Sort a word into invalid / valid / Lukasiewicz by its path.
 
     The empty word is invalid (its degree total is 0, not -1).
     """
-    steps = _steps(word, alphabet)
-    n = len(steps)
-    s = 0
-    dipped = False
-    for i, step in enumerate(steps):
-        s += step
-        if s < 0 and i < n - 1:
-            dipped = True
-    if s != -1:
+    path = path_heights(word, alphabet)
+    if path[-1:] != [-1]:
         return Classification.INVALID
-    return Classification.VALID_NOT_LUKASIEWICZ if dipped else Classification.LUKASIEWICZ
+    if min(path[:-1], default=0) < 0:
+        return Classification.VALID_NOT_LUKASIEWICZ
+    return Classification.LUKASIEWICZ
 
 
 def rotation_index(word: Sequence[int], alphabet: TreeAlphabet) -> int:
@@ -131,20 +122,11 @@ def rotation_index(word: Sequence[int], alphabet: TreeAlphabet) -> int:
     For a Lukasiewicz word this is n (the minimum -1 is only reached at the
     end), so the rotation below is the identity.
     """
-    steps = _steps(word, alphabet)
-    if sum(steps) != -1:
-        raise NotAValidWordError(
-            f"degree total {sum(steps)} != -1, word is not valid"
-        )
-    best = None
-    best_pos = 0
-    s = 0
-    for i, step in enumerate(steps):
-        s += step
-        if best is None or s < best:
-            best = s
-            best_pos = i + 1
-    return best_pos
+    path = path_heights(word, alphabet)
+    if path[-1:] != [-1]:
+        total = path[-1] if path else 0
+        raise NotAValidWordError(f"degree total {total} != -1, word is not valid")
+    return path.index(min(path)) + 1
 
 
 def to_lukasiewicz(word: Sequence[int], alphabet: TreeAlphabet) -> LukasiewiczWord:
@@ -162,7 +144,8 @@ def rotations_that_are_lukasiewicz(word: Sequence[int], alphabet: TreeAlphabet) 
     """How many of the n cyclic rotations of the word are Lukasiewicz.
 
     Quadratic-time oracle used to check the cycle lemma (the answer is 1 for
-    every valid word); it deliberately shares no code with rotation_index.
+    every valid word): it classifies every rotation instead of trusting the
+    minimum that rotation_index picks.
     """
     w = tuple(word)
     n = len(w)
@@ -185,12 +168,7 @@ def permutation_to_valid_word(
     by exactly prod_i n_i! permutations, so a uniform permutation gives a
     uniform valid word.
     """
-    counts = degree_counts(t)
-    if not is_f_valid(counts, alphabet):
-        weighted = sum(c * d for c, d in zip(counts, alphabet.degrees))
-        raise TupleNotValidError(
-            f"counts {counts!r} have weighted degree sum {weighted}, need -1"
-        )
+    counts = f_valid_counts(t, alphabet)
     n = sum(counts)
     if len(sigma) != n or set(sigma) != set(range(1, n + 1)):
         raise NotAPermutationError(

@@ -1,21 +1,20 @@
 import pytest
 
 from lukatree import (
+    AlphabetError,
     ArityMismatchError,
-    DegreeBelowMinusOneError,
-    DegreesNotSortedError,
     DegreeTuple,
-    DuplicateLetterError,
-    FirstDegreeNotMinusOneError,
+    TreeAlphabet,
+    TupleNotValidError,
     binary_alphabet,
     format_alphabet,
     format_tuple,
     is_f_valid,
-    make_tree_alphabet,
     motzkin_alphabet,
     parse_alphabet,
     parse_tuple,
 )
+from lukatree.alphabet import f_valid_counts
 
 
 def test_standard_alphabets():
@@ -30,25 +29,24 @@ def test_standard_alphabets():
 
 
 def test_construction_errors():
-    with pytest.raises(DuplicateLetterError):
-        make_tree_alphabet(("a", "a"), (-1, 1))
-    with pytest.raises(DuplicateLetterError):
-        make_tree_alphabet(("ab", "c"), (-1, 1))
-    with pytest.raises(FirstDegreeNotMinusOneError):
-        make_tree_alphabet(("a", "b"), (0, 1))
-    with pytest.raises(DegreesNotSortedError):
-        make_tree_alphabet(("a", "b", "c"), (-1, 1, 0))
-    with pytest.raises(DegreeBelowMinusOneError):
-        make_tree_alphabet(("a", "b"), (-1, -2))
-    with pytest.raises(ArityMismatchError):
-        make_tree_alphabet(("a", "b"), (-1,))
-    with pytest.raises(ArityMismatchError):
-        make_tree_alphabet((), ())
+    cases = [
+        (("a", "a"), (-1, 1), "duplicate letter symbol"),
+        (("ab", "c"), (-1, 1), "not a single printable character"),
+        (("a", "b"), (0, 1), "first letter must have degree -1"),
+        (("a", "b", "c"), (-1, 1, 0), "not non-decreasing"),
+        # below -1 after a first -1 is out of order
+        (("a", "b"), (-1, -2), "not non-decreasing"),
+        (("a", "b"), (-1,), "equally many letters and degrees"),
+        ((), (), "equally many letters and degrees"),
+    ]
+    for letters, degrees, message in cases:
+        with pytest.raises(AlphabetError, match=message):
+            TreeAlphabet(letters, degrees)
 
 
 def test_repeated_degrees_allowed():
     # several leaf letters are fine, degrees only need to be non-decreasing
-    A = make_tree_alphabet(("a", "b", "c"), (-1, -1, 1))
+    A = TreeAlphabet(("a", "b", "c"), (-1, -1, 1))
     assert is_f_valid((1, 2, 1), A) is False
     assert is_f_valid((1, 2, 2), A)
     assert is_f_valid((2, 1, 2), A)
@@ -59,9 +57,9 @@ def test_alphabet_text_form_round_trip():
     assert A == motzkin_alphabet()
     assert format_alphabet(A) == "a:-1,b:0,c:1"
     assert parse_alphabet(" a:-1 , c:1 ") == binary_alphabet()
-    with pytest.raises(ArityMismatchError):
+    with pytest.raises(AlphabetError, match="want sym:degree"):
         parse_alphabet("a-1,b:0")
-    with pytest.raises(ArityMismatchError):
+    with pytest.raises(AlphabetError, match="malformed degree"):
         parse_alphabet("a:x")
 
 
@@ -84,7 +82,7 @@ def test_word_text_form(motzkin):
     assert motzkin.parse_word("") == ()
     with pytest.raises(ArityMismatchError):
         motzkin.parse_word("caz")
-    with pytest.raises(ArityMismatchError):
+    with pytest.raises(AlphabetError, match="no letter 'z'"):
         motzkin.index("z")
     assert motzkin.index("b") == 1
 
@@ -97,6 +95,17 @@ def test_is_f_valid(motzkin, binary):
     assert not is_f_valid((2, 2), binary)
     with pytest.raises(ArityMismatchError):
         is_f_valid((3, 1), motzkin)
+
+
+def test_f_valid_counts(motzkin):
+    assert f_valid_counts(DegreeTuple((3, 1, 2)), motzkin) == (3, 1, 2)
+    assert f_valid_counts([1, 0, 0], motzkin) == (1, 0, 0)
+    with pytest.raises(TupleNotValidError, match="weighted degree sum 0, need -1"):
+        f_valid_counts((1, 1, 1), motzkin)
+    with pytest.raises(ArityMismatchError, match="2 counts for an alphabet of 3"):
+        f_valid_counts((3, 2), motzkin)
+    with pytest.raises(ArityMismatchError, match="non-negative"):
+        f_valid_counts((3, -1, 2), motzkin)
 
 
 def test_degree_tuple_validation():

@@ -4,11 +4,11 @@ import pytest
 from lukatree import (
     Classification,
     DegreeTuple,
+    TreeAlphabet,
     chi_square_homogeneity,
     chi_square_uniformity,
     classify,
     height,
-    make_tree_alphabet,
     to_lukasiewicz,
     tutte_count,
     word_to_tree,
@@ -59,7 +59,7 @@ def test_heights_match_scalar_reference(motzkin):
 
 
 def test_wide_arity_alphabet_matches_scalar():
-    ternary = make_tree_alphabet(("a", "t"), (-1, 2))
+    ternary = TreeAlphabet(("a", "t"), (-1, 2))
     rng = np.random.default_rng(3)
     words = batch_valid_words(rng, (7, 3), 150)
     rotated = batch_rotate(words, ternary.degrees)
@@ -176,7 +176,7 @@ def test_batch_valid_words_pinned_rows(method):
 def test_heights_beyond_int8_arity():
     # arity 200: a root with 200 leaf children, whose path reaches n - 2, and
     # a spine of 50 such nodes, each the first child of the one before
-    star = make_tree_alphabet(("a", "b"), (-1, 199))
+    star = TreeAlphabet(("a", "b"), (-1, 199))
     fan = np.array([[1] + [0] * 200], dtype=np.int8)
     assert batch_heights(fan, star.degrees).tolist() == [1]
     spine = np.array([[1] * 50 + [0] * (50 * 199 + 1)], dtype=np.int8)
@@ -188,7 +188,7 @@ def test_heights_beyond_int8_arity():
 
 
 def test_heights_four_letter_alphabet_row_by_row():
-    alphabet = make_tree_alphabet(("a", "b", "c", "d"), (-1, 0, 1, 3))
+    alphabet = TreeAlphabet(("a", "b", "c", "d"), (-1, 0, 1, 3))
     for counts, reps in (((9, 3, 2, 2), 300), ((61, 10, 12, 16), 60)):
         rng = np.random.default_rng(counts[0])
         rows = batch_rotate(batch_valid_words(rng, counts, reps), alphabet.degrees)

@@ -320,6 +320,78 @@ def test_height_scan_negative_seed_is_read_modulo_2_64(capsys):
     assert run_cli(capsys, *argv, "--seed", str(2**64 - 5)) == (0, out, "")
 
 
+# Output of `sample --alphabet a:-1,b:0,c:1 --tuple 14,13,13 --count 5
+# --count-bits --seed 11`: the same seed must keep giving the same trees and
+# spend the same fair bits on each.
+PINNED_SAMPLES = {
+    "dicho": (
+        "ccaccacbacabbababccbaaccabbcbacabbbacbaa bits=106\n"
+        "bcccccbacaabcabbabcbcbbcbaaaabcabcbcaaaa bits=103\n"
+        "cacccbcabbbbcbaabccbacccabbbaaababacacaa bits=112\n"
+        "ccbacacbbacaabcacaccabbbbabcabcabccababa bits=104\n"
+        "bbbbbcccacbccabacbaacabaccacaacbbbbaacaa bits=93\n"
+    ),
+    "perm": (
+        "caccccbabcaaabbcccbcbabaaacaabccbbbbabaa bits=307\n"
+        "ccabbbaccaccbabbbcbcbaaaacbbcaccbcabaaaa bits=280\n"
+        "ccbbccbbabccaabbbcccbaacacabcbaaacbaabaa bits=234\n"
+        "ccbabccaacbcaccbbaabbccaaacbbbcbababacaa bits=294\n"
+        "bcbaccbccacbaaacccacabbcbccabbbbaabaabaa bits=264\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_SAMPLES))
+def test_sample_pinned_words_and_bits(capsys, method):
+    code, out, err = run_cli(
+        capsys,
+        "sample",
+        "--alphabet",
+        MOTZKIN,
+        "--tuple",
+        "14,13,13",
+        "--count",
+        "5",
+        "--count-bits",
+        "--seed",
+        "11",
+        "--method",
+        method,
+    )
+    assert code == 0 and err == ""
+    assert out == PINNED_SAMPLES[method]
+
+
+def test_bitcost_pinned_csv(capsys):
+    # output of `bitcost --k-max 9 --replicates 50 --seed 4`
+    code, out, err = run_cli(
+        capsys, "bitcost", "--k-max", "9", "--replicates", "50", "--seed", "4"
+    )
+    assert code == 0 and err == ""
+    assert out == (
+        "k,replicates,mean_bits,stderr,ratio,"
+        "mean_bits_offset,stderr_offset,ratio_offset,ctilde,bound\n"
+        "2,50,1.000000,0.000000,0.333333,2.180000,0.236798,0.726667,3.000000,3.000000\n"
+        "3,50,3.040000,0.176033,0.847987,1.440000,0.070912,0.401678,3.500000,3.584963\n"
+        "4,50,2.000000,0.000000,0.500000,3.560000,0.171809,0.890000,4.000000,4.000000\n"
+        "5,50,4.220000,0.194391,0.976416,3.340000,0.195061,0.772803,4.250000,4.321928\n"
+        "6,50,4.180000,0.220741,0.911676,3.960000,0.211814,0.863693,4.500000,4.584963\n"
+        "7,50,4.500000,0.219926,0.936066,2.660000,0.067673,0.553319,4.750000,4.807355\n"
+        "8,50,3.000000,0.000000,0.600000,4.440000,0.159489,0.888000,5.000000,5.000000\n"
+        "9,50,5.120000,0.195124,0.990343,5.000000,0.176126,0.967132,5.125000,5.169925\n"
+    )
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_sample_count_below_one_is_a_domain_error(capsys, count):
+    code, out, err = run_cli(
+        capsys, "sample", "--alphabet", BINARY, "--tuple", "2,1", "--count", count
+    )
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lukatree: error:"), lines
+
+
 def test_count_prints_answers_past_the_int_str_digit_cap(capsys):
     # Catalan(10000) has 6015 digits, more than str() of an int allows by default
     code, out, err = run_cli(capsys, "count", "--alphabet", BINARY, "--tuple", "10001,10000")

@@ -103,6 +103,18 @@ def test_height_scan_scalar_engine_agrees_with_batch():
             assert abs(b.mean_height - s.mean_height) < 6 * gap
 
 
+def test_scalar_height_scan_seeds_draw_distinct_trees():
+    def scan(seed):
+        cfg = HeightScanConfig(
+            n=41, unary_fractions=(0.5,), replicates=2, seed=seed, engine="scalar"
+        )
+        return height_scan_csv(run_height_scan(cfg))
+
+    # replicate seeds of the form seed ^ rep would make seeds 0 and 1 share streams
+    assert scan(0) != scan(1)
+    assert scan(0) == scan(0)
+
+
 @pytest.mark.parametrize(
     "fractions, replicates",
     [

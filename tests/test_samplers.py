@@ -11,14 +11,12 @@ from lukatree import (
     DegreeTuple,
     DiscreteWeights,
     DomainTooSmallError,
-    DyadicInterval,
     chi_square_homogeneity,
     chi_square_uniformity,
     degree_census,
     dichotomic_draw,
     enumerate_valid_words,
     mean_cost_closed_form,
-    measure_bit_cost,
     sample_lukasiewicz_word,
     sample_tree,
     serialize,
@@ -46,19 +44,6 @@ def test_discrete_weights_validation():
     w = DiscreteWeights((1, 0))
     with pytest.raises(DomainTooSmallError):
         w.decrement(1)
-
-
-def test_dyadic_interval_refinement():
-    iv = DyadicInterval()
-    assert (iv.low, iv.high, iv.depth) == (0, 1, 0)
-    iv.refine(1)
-    assert (iv.low, iv.high, iv.depth) == (1, 2, 1)
-    iv.refine(0)
-    assert (iv.low, iv.high, iv.depth) == (2, 3, 2)
-    iv.refine(1)
-    assert (iv.low, iv.high, iv.depth) == (5, 6, 3)
-    # always a width-1 dyadic cell of [0, 1)
-    assert iv.high == iv.low + 1 and iv.high <= 2**iv.depth
 
 
 def test_draws_that_cost_nothing():
@@ -116,8 +101,11 @@ def test_three_way_even_split_mean_cost():
     # boundaries 1/3 and 2/3 leave two straddling cells at every depth, so the
     # mean is exactly 1 + sum_d 2/2^d = 3 bits
     source = BitSource(5)
-    mean = measure_bit_cost(3, DiscreteWeights((1, 1, 1)), 100_000, source)
-    assert abs(mean - 3.0) < 0.03
+    weights = DiscreteWeights((1, 1, 1))
+    draws = 100_000
+    for _ in range(draws):
+        dichotomic_draw(source, weights)
+    assert abs(source.bits_consumed / draws - 3.0) < 0.03
 
 
 def test_tuple_to_valid_word_law_is_exact(binary):
@@ -205,15 +193,6 @@ def test_mean_cost_closed_form_values():
 def test_mean_cost_closed_form_bound():
     for k in range(2, 4097):
         assert float(mean_cost_closed_form(k)) <= 2 + math.log2(k) + 1e-9
-
-
-def test_measure_bit_cost_edges():
-    assert measure_bit_cost(2, DiscreteWeights((1, 1)), 500, BitSource(1)) == 1.0
-    assert measure_bit_cost(1, DiscreteWeights((7,)), 500, BitSource(1)) == 0.0
-    with pytest.raises(DomainTooSmallError):
-        measure_bit_cost(3, DiscreteWeights((1, 1)), 10, BitSource(0))
-    with pytest.raises(DomainTooSmallError):
-        measure_bit_cost(2, DiscreteWeights((1, 1)), 0, BitSource(0))
 
 
 @settings(max_examples=80, deadline=None)

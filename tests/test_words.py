@@ -12,11 +12,11 @@ from lukatree import (
     LukasiewiczWord,
     NotAPermutationError,
     NotAValidWordError,
+    TreeAlphabet,
     TupleNotValidError,
     classify,
     enumerate_lukasiewicz,
     height,
-    make_tree_alphabet,
     motzkin_tuple,
     path_heights,
     permutation_to_valid_word,
@@ -149,7 +149,7 @@ def alphabet_and_valid_word(draw):
     k = draw(st.integers(1, 4))
     extra = draw(st.lists(st.integers(-1, 2), min_size=k - 1, max_size=k - 1))
     degrees = tuple(sorted([-1] + extra))
-    alphabet = make_tree_alphabet(tuple("abcd"[:k]), degrees)
+    alphabet = TreeAlphabet(tuple("abcd"[:k]), degrees)
     # the count of the first (leaf) letter is forced by validity, so the
     # weighted degree sum is -1 by construction rather than by filtering
     rest = draw(st.lists(st.integers(0, 2), min_size=k - 1, max_size=k - 1))
