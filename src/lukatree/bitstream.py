@@ -48,19 +48,25 @@ class BitSource:
 
     def next_bits(self, count: int) -> int:
         """count fair bits as one integer, first-drawn bit least significant."""
-        out = 0
-        shift = 0
-        remaining = count
-        while remaining > 0:
-            if self._avail == 0:
-                self._buf = self._rng.getrandbits(64)
-                self._avail = 64
-            take = remaining if remaining < self._avail else self._avail
-            out |= (self._buf & ((1 << take) - 1)) << shift
-            self._buf >>= take
-            self._avail -= take
-            shift += take
-            remaining -= take
+        avail = self._avail
+        if count <= avail:
+            out = self._buf & ((1 << count) - 1)
+            self._buf >>= count
+            self._avail = avail - count
+        else:
+            # drain the buffer, then take whole fresh 64-bit words
+            out = self._buf
+            shift = avail
+            remaining = count - avail
+            getrandbits = self._rng.getrandbits
+            while remaining > 64:
+                out |= getrandbits(64) << shift
+                shift += 64
+                remaining -= 64
+            buf = getrandbits(64)
+            out |= (buf & ((1 << remaining) - 1)) << shift
+            self._buf = buf >> remaining
+            self._avail = 64 - remaining
         self.bits_consumed += count
         return out
 

@@ -207,6 +207,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"lukatree: error: {message}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("lukatree: error: out of memory; try a smaller size", file=sys.stderr)
+        return 1
     return 0
 
 

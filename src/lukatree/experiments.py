@@ -127,6 +127,9 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
     for fraction in cfg.unary_fractions:
         if not 0.0 <= fraction < 1.0:  # also false for NaN
             raise LukatreeError(f"unary fraction {fraction!r} is not in [0, 1)")
+    if cfg.n >= 2**31:
+        # the batch engine's lattice paths are int32
+        raise LukatreeError(f"tree size {cfg.n} is not below 2^31")
     alphabet = motzkin_alphabet()
     source = BitSource(cfg.seed)
     rows = []

@@ -92,24 +92,22 @@ def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
     contain the (always non-empty) interval.  If one index holds all the
     weight the draw is free.
 
-    The interval is [low * total / 2^depth, high * total / 2^depth), kept as
-    exact integers; refining by a bit doubles the scale, so no rounding ever
-    happens.  A 1-bit keeps the upper half.
+    After depth bits the interval is [low * total / 2^depth,
+    (low + 1) * total / 2^depth): low holds the bits read so far, first bit
+    most significant, so a 1-bit keeps the upper half.  Everything stays an
+    exact integer; refining by a bit doubles the scale, so no rounding ever
+    happens.
     """
     cum = weights.cumulative
     total = cum[-1]
     next_bit = source.next_bit
-    low, high, depth = 0, 1, 0
+    low = depth = 0
     while True:
         # candidate segment: the one containing the interval's lower endpoint
         seg = bisect_right(cum, (low * total) >> depth) - 1
-        if high * total <= cum[seg + 1] << depth:
+        if (low + 1) * total <= cum[seg + 1] << depth:
             return seg
-        mid = low + high
-        if next_bit():
-            low, high = mid, 2 * high
-        else:
-            low, high = 2 * low, mid
+        low = 2 * low + next_bit()
         depth += 1
 
 

@@ -1,19 +1,22 @@
-"""Rooted planar trees stored as preorder arenas, and the word bijection.
+"""Rooted planar trees stored as their Lukasiewicz words, and the bijection.
 
 A Lukasiewicz word is read left to right as the preorder letter sequence of a
-rooted planar tree: a letter of degree d opens a node with d+1 children.  The
-decoder below runs on an explicit stack of unfilled child slots, so deep
-(caterpillar-like) trees of any size are fine; nothing in this module recurses.
+rooted planar tree: a letter of degree d opens a node with d+1 children.  A
+:class:`PlanarTree` therefore stores only that word; the child lists are
+decoded from it on first use, on an explicit stack of unfilled child slots,
+so deep (caterpillar-like) trees of any size are fine.  Nothing in this
+module recurses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .alphabet import DegreeTuple, TreeAlphabet
 from .errors import NotAValidWordError
-from .words import LukasiewiczWord
+from .words import LukasiewiczWord, path_heights
 
 __all__ = [
     "PlanarTree",
@@ -30,15 +33,16 @@ SERIALIZE_FORMATS = ("paren", "dot", "luka")
 
 @dataclass
 class PlanarTree:
-    """Arena of preorder nodes: letters[i] labels node i, children[i] its kids.
+    """A tree held as its Lukasiewicz word: letters[i] labels node i.
 
     The root is node 0 and nodes are numbered in preorder (children left to
-    right), which is exactly the order of the defining Lukasiewicz word.
+    right), which is exactly the order of the word.  ``children[i]`` lists
+    node i's children; it is decoded from the word the first time it is read.
+    Build trees with :func:`word_to_tree`, which checks the word.
     """
 
     alphabet: TreeAlphabet
     letters: list[int]
-    children: list[list[int]] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -47,58 +51,53 @@ class PlanarTree:
     def __len__(self) -> int:
         return len(self.letters)
 
+    @cached_property
+    def children(self) -> list[list[int]]:
+        """Child lists in preorder, decoded on one stack of unfilled slots.
+
+        Each stack entry names the parent of one unfilled child slot, so node
+        i's parent is the top entry, and node i then pushes one entry per
+        child of its own.
+        """
+        degrees = self.alphabet.degrees
+        children: list[list[int]] = [[] for _ in self.letters]
+        slots: list[int] = []
+        for i, letter in enumerate(self.letters):
+            if i:
+                children[slots.pop()].append(i)
+            slots.extend([i] * (degrees[letter] + 1))
+        return children
+
 
 def word_to_tree(word: Sequence[int], alphabet: TreeAlphabet) -> PlanarTree:
-    """Decode a Lukasiewicz word into its tree.
+    """The tree of a Lukasiewicz word, after checking the word's path.
 
-    The stack construction doubles as a validity check: a word whose path
-    touches -1 early leaves the stack empty with letters still to place, and
-    a word with total != -1 leaves slots unfilled at the end.  Both raise
-    NotAValidWordError, so certifying the input beforehand is not required
-    for safety, just for good error messages.
+    Letters outside the alphabet raise ArityMismatchError.  A word whose path
+    touches -1 before its last letter (the tree is complete with letters left
+    over), or whose degree total is not -1 (child slots left unfilled), raises
+    NotAValidWordError.
     """
-    n = len(word)
+    path = path_heights(word, alphabet)
+    n = len(path)
     if n == 0:
         raise NotAValidWordError("the empty word encodes no tree")
-    degrees = alphabet.degrees
-    letters = [int(x) for x in word]
-    children: list[list[int]] = [[] for _ in range(n)]
-    # stack entries: [node, unfilled child slots], top is the attachment point
-    first_arity = degrees[letters[0]] + 1
-    stack: list[list[int]] = [[0, first_arity]] if first_arity > 0 else []
-    for i in range(1, n):
-        if not stack:
-            raise NotAValidWordError(
-                f"tree complete after {i} letters but the word has {n}; "
-                "not a Lukasiewicz word"
-            )
-        top = stack[-1]
-        children[top[0]].append(i)
-        top[1] -= 1
-        if top[1] == 0:
-            stack.pop()
-        arity = degrees[letters[i]] + 1
-        if arity > 0:
-            stack.append([i, arity])
-    if stack:
+    # steps are >= -1, so a path that goes below 0 first touches -1
+    if min(path) >= 0:
         raise NotAValidWordError(
-            f"{sum(slot for _, slot in stack)} child slots left unfilled; "
+            f"{path[-1] + 1} child slots left unfilled; not a Lukasiewicz word"
+        )
+    done = path.index(-1) + 1
+    if done < n:
+        raise NotAValidWordError(
+            f"tree complete after {done} letters but the word has {n}; "
             "not a Lukasiewicz word"
         )
-    return PlanarTree(alphabet, letters, children)
+    return PlanarTree(alphabet, [int(x) for x in word])
 
 
 def tree_to_word(tree: PlanarTree) -> LukasiewiczWord:
     """Preorder letter sequence of the tree (inverse of word_to_tree)."""
-    out: list[int] = []
-    stack = [0]
-    letters = tree.letters
-    children = tree.children
-    while stack:
-        node = stack.pop()
-        out.append(letters[node])
-        stack.extend(reversed(children[node]))
-    return LukasiewiczWord(out)
+    return LukasiewiczWord(tree.letters)
 
 
 def height(tree: PlanarTree) -> int:

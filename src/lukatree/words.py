@@ -170,14 +170,19 @@ def permutation_to_valid_word(
     """
     counts = f_valid_counts(t, alphabet)
     n = sum(counts)
-    if len(sigma) != n or set(sigma) != set(range(1, n + 1)):
+    if len(sigma) != n:
         raise NotAPermutationError(
-            f"expected a permutation of 1..{n}, got {tuple(sigma)!r}"
+            f"expected a permutation of 1..{n}, got {len(sigma)} entries"
         )
-    word = [0] * n
+    word = [-1] * n  # -1: position not filled yet
     pos = 0
     for letter, count in enumerate(counts):
-        for _ in range(count):
-            word[sigma[pos] - 1] = letter
-            pos += 1
+        for p in sigma[pos : pos + count]:
+            # p < 1 would wrap around the list and p > n would leave it
+            if not 0 < p <= n or word[p - 1] != -1:
+                raise NotAPermutationError(
+                    f"expected a permutation of 1..{n}, got {p!r} out of range or repeated"
+                )
+            word[p - 1] = letter
+        pos += count
     return tuple(word)

@@ -37,6 +37,25 @@ def test_next_bits_equals_next_bit_composition():
         assert a.next_bits(32) == b.next_bits(32)
 
 
+@pytest.mark.parametrize("offset", [0, 3, 63])
+def test_next_bits_from_inside_the_buffer(offset):
+    # after `offset` single bits the 64-bit word buffer holds 64 - offset bits
+    # (none when offset is 0); counts on both sides of that, and multi-word
+    left = (64 - offset) % 64
+    for count in sorted({0, 1, left, left + 1, 64, 129}):
+        a = BitSource(7)
+        b = BitSource(7)
+        for _ in range(offset):
+            assert a.next_bit() == b.next_bit()
+        bulk = a.next_bits(count)
+        single = 0
+        for i in range(count):
+            single |= b.next_bit() << i
+        assert bulk == single, (offset, count)
+        assert a.bits_consumed == b.bits_consumed == offset + count
+        assert [a.next_bit() for _ in range(70)] == [b.next_bit() for _ in range(70)]
+
+
 def test_empirical_bit_mean():
     source = BitSource(2024)
     ones = sum(source.next_bits(64).bit_count() for _ in range(1_000_000 // 64 + 1))

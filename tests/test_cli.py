@@ -1,10 +1,12 @@
 import contextlib
 import decimal
+import hashlib
 import io
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lukatree
-from lukatree import HEIGHT_SCAN_COLUMNS
+from lukatree import HEIGHT_SCAN_COLUMNS, cli
 from lukatree.cli import main
 
 MOTZKIN = "a:-1,b:0,c:1"
@@ -307,6 +309,33 @@ def test_height_scan_bad_input_is_a_domain_error(capsys, flags):
     assert len(lines) == 1 and lines[0].startswith("lukatree: error:"), lines
 
 
+def test_height_scan_huge_n_is_rejected_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "height-scan", "--n", "35184372088833", "--replicates", "1", "--fractions", "0"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lukatree: error:"), lines
+    assert "2^31" in lines[0]  # the size check, not a caught MemoryError
+    assert peak < 1 << 20
+
+
+def test_memory_error_is_one_error_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "count", exhausted)
+    code, out, err = run_cli(capsys, "count", "--alphabet", BINARY, "--tuple", "4,3")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lukatree: error:"), lines
+
+
 def test_height_scan_negative_seed_is_read_modulo_2_64(capsys):
     argv = ("height-scan", "--n", "21", "--fractions", "0,0.5", "--replicates", "8")
     code, out, err = run_cli(capsys, *argv, "--seed", "-5")
@@ -360,6 +389,56 @@ def test_sample_pinned_words_and_bits(capsys, method):
     )
     assert code == 0 and err == ""
     assert out == PINNED_SAMPLES[method]
+
+
+# Output of `sample --alphabet a:-1,b:0,c:1 --tuple 14,13,13 --count 3
+# --seed 11` in the formats that walk the decoded children.  The dot output
+# (243 lines per method) is pinned by its SHA-256.
+PINNED_RENDERINGS = {
+    ("dicho", "paren"): (
+        "c(c(a,c(c(a,c(b(a),c(a,b(b(a))))),b(a))),b(c(c(b(a),a),c(c(a,b(b(c(b(a),"
+        "c(a,b(b(b(a)))))))),c(b(a),a)))))\n"
+        "b(c(c(c(c(c(b(a),c(a,a)),b(c(a,b(b(a))))),b(c(b(c(b(b(c(b(a),a))),a)),a))),"
+        "b(c(a,b(c(b(c(a,a)),a))))),a))\n"
+        "c(a,c(c(c(b(c(a,b(b(b(b(c(b(a),a))))))),b(c(c(b(a),c(c(c(a,b(b(b(a)))),a),a)),"
+        "b(a)))),b(a)),c(a,c(a,a))))\n"
+    ),
+    ("perm", "paren"): (
+        "c(a,c(c(c(c(b(a),b(c(a,a))),a),b(b(c(c(c(b(c(b(a),b(a))),a),a),c(a,a))))),"
+        "b(c(c(b(b(b(b(a)))),b(a)),a))))\n"
+        "c(c(a,b(b(b(a)))),c(c(a,c(c(b(a),b(b(b(c(b(c(b(a),a)),a))))),a)),c(b(b(c(a,"
+        "c(c(b(c(a,b(a))),a),a)))),a)))\n"
+        "c(c(b(b(c(c(b(b(a)),b(c(c(a,a),b(b(b(c(c(c(b(a),a),c(a,c(a,b(c(b(a),a))))),"
+        "a))))))),c(b(a),a)))),b(a)),a)\n"
+    ),
+    ("dicho", "dot"): "8f7b7150c350d9607be4e7f0bc2e06d911518bad37d3bd2f34a5c53ca03d9683",
+    ("perm", "dot"): "3d0095eb50f7c1333da50b462e8ac316040d1fbf8429cc9e37fae01bb2946aa0",
+}
+
+
+@pytest.mark.parametrize("method,fmt", sorted(PINNED_RENDERINGS))
+def test_sample_pinned_renderings(capsys, method, fmt):
+    code, out, err = run_cli(
+        capsys,
+        "sample",
+        "--alphabet",
+        MOTZKIN,
+        "--tuple",
+        "14,13,13",
+        "--count",
+        "3",
+        "--seed",
+        "11",
+        "--method",
+        method,
+        "--format",
+        fmt,
+    )
+    assert code == 0 and err == ""
+    if fmt == "dot":
+        assert out.count("digraph tree {") == 3
+        out = hashlib.sha256(out.encode()).hexdigest()
+    assert out == PINNED_RENDERINGS[method, fmt]
 
 
 def test_bitcost_pinned_csv(capsys):

@@ -137,6 +137,13 @@ def test_height_scan_rejects_bad_config(fractions, replicates, engine):
         run_height_scan(cfg)
 
 
+@pytest.mark.parametrize("engine", ["batch", "scalar"])
+def test_height_scan_rejects_n_past_the_int32_path(engine):
+    cfg = HeightScanConfig(n=2**31 + 1, unary_fractions=(0.0,), replicates=1, engine=engine)
+    with pytest.raises(LukatreeError, match="2\\^31"):
+        run_height_scan(cfg)
+
+
 def test_height_scan_reads_the_seed_modulo_2_64():
     def scan(seed):
         cfg = HeightScanConfig(n=21, unary_fractions=(0.5,), replicates=16, seed=seed)

@@ -1,6 +1,7 @@
 import pytest
 
 from lukatree import (
+    ArityMismatchError,
     DegreeTuple,
     NotAValidWordError,
     degree_census,
@@ -31,16 +32,30 @@ def test_decode_worked_example(motzkin):
 
 
 def test_decode_rejects_malformed_words(motzkin):
-    with pytest.raises(NotAValidWordError):
+    with pytest.raises(NotAValidWordError, match="^the empty word encodes no tree$"):
         word_to_tree((), motzkin)
-    with pytest.raises(NotAValidWordError):
-        word_to_tree(motzkin.parse_word("aa"), motzkin)  # complete too early
-    with pytest.raises(NotAValidWordError):
-        word_to_tree(motzkin.parse_word("c"), motzkin)  # slots unfilled
-    with pytest.raises(NotAValidWordError):
+    # complete too early
+    with pytest.raises(NotAValidWordError, match="^tree complete after 1 letters but the word has 2;"):
+        word_to_tree(motzkin.parse_word("aa"), motzkin)
+    with pytest.raises(NotAValidWordError, match="^tree complete after 3 letters but the word has 4;"):
+        word_to_tree(motzkin.parse_word("caac"), motzkin)
+    # slots unfilled
+    with pytest.raises(NotAValidWordError, match="^2 child slots left unfilled;"):
+        word_to_tree(motzkin.parse_word("c"), motzkin)
+    with pytest.raises(NotAValidWordError, match="^1 child slots left unfilled;"):
         word_to_tree(motzkin.parse_word("bb"), motzkin)  # never terminates a branch
-    with pytest.raises(NotAValidWordError):
-        word_to_tree(motzkin.parse_word("aca"), motzkin)  # valid but not Lukasiewicz
+    # valid but not Lukasiewicz
+    with pytest.raises(NotAValidWordError, match="^tree complete after 1 letters but the word has 3;"):
+        word_to_tree(motzkin.parse_word("aca"), motzkin)
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 3])
+def test_decode_rejects_letters_outside_the_alphabet(motzkin, bad):
+    # negative indices would otherwise wrap around the alphabet's degrees
+    with pytest.raises(ArityMismatchError):
+        word_to_tree((2, bad, 0), motzkin)
+    with pytest.raises(ArityMismatchError):
+        word_to_tree((bad,), motzkin)
 
 
 def test_serialize_paren_frozen(motzkin):
@@ -75,6 +90,23 @@ def test_serialize_unknown_format(motzkin):
         serialize(tree, "json")
 
 
+def _preorder_letters(tree):
+    """Letters met by an explicit-stack preorder walk of ``tree.children``.
+
+    Each node must have as many children as its letter's arity; with that,
+    a walk that meets the letters in word order pins the whole structure.
+    """
+    out = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        letter = tree.letters[node]
+        assert len(tree.children[node]) == tree.alphabet.arity(letter)
+        out.append(letter)
+        stack.extend(reversed(tree.children[node]))
+    return out
+
+
 def _height_by_recursion(tree, node=0):
     kids = tree.children[node]
     if not kids:
@@ -95,6 +127,7 @@ def test_deep_caterpillar_does_not_recurse(motzkin):
     tree = word_to_tree(word, motzkin)
     assert height(tree) == 5000
     assert tree_to_word(tree) == word
+    assert _preorder_letters(tree) == list(word)
     assert serialize(tree, "luka") == "b" * 5000 + "a"
 
 
@@ -108,4 +141,5 @@ def test_round_trip_exhaustive(motzkin, binary):
             for word in words:
                 tree = word_to_tree(word, alphabet)
                 assert tuple(tree_to_word(tree)) == tuple(word)
+                assert _preorder_letters(tree) == list(word)
                 assert degree_census(tree) == DegreeTuple(counts)

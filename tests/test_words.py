@@ -120,6 +120,10 @@ def test_permutation_validation(motzkin, binary):
         permutation_to_valid_word((1, 2), (2, 1), binary)
     with pytest.raises(TupleNotValidError):
         permutation_to_valid_word((1, 2), (1, 1), binary)
+    # entries outside 1..n, including the ones a list index would wrap
+    for sigma in ((0, 1, 2), (-1, 1, 2), (1, 2, 4), (2, 3, -2), (3, 3, 1), (1, 2, 2)):
+        with pytest.raises(NotAPermutationError):
+            permutation_to_valid_word(sigma, (2, 1), binary)
     with pytest.raises(TupleNotValidError):
         permutation_to_valid_word((1, 2, 3), (1, 1, 1), motzkin)
 
