@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
-
-from scipy.special import gammaincc
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
 from .errors import EmptySupportError, LimitExceededError
@@ -143,9 +142,21 @@ class ChiSquareResult:
 
 
 def _chi_square_p(statistic: float, degrees: int) -> float:
-    # regularized upper incomplete gamma Q(df/2, x/2); scipy evaluates it by
-    # series / continued fraction far below the 1e-10 tolerance we need
-    return float(gammaincc(degrees / 2.0, statistic / 2.0))
+    # upper tail Q(df/2, y) at y = x/2 for integer df, in closed form
+    # (Abramowitz & Stegun §26.4):
+    #   even df: e^-y * sum_{i<df/2} y^i / i!
+    #   odd df:  erfc(sqrt y) + e^-y * sum_{i<(df-1)/2} y^(i+1/2) / Gamma(i+3/2)
+    # each term is exp(p log y - y - lgamma(p+1)), so none overflows, and
+    # fsum takes them one at a time, so memory stays flat however large df is
+    if statistic <= 0.0:
+        return 1.0
+    y = statistic / 2.0
+    log_y = math.log(y)
+    odd = degrees % 2
+    head = math.erfc(math.sqrt(y)) if odd else 0.0
+    powers = (i + odd / 2 for i in range(degrees // 2))
+    terms = (math.exp(p * log_y - y - math.lgamma(p + 1)) for p in powers)
+    return min(1.0, math.fsum(chain([head], terms)))
 
 
 def chi_square_uniformity(observed: Mapping[object, int], support_size: int) -> ChiSquareResult:

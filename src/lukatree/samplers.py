@@ -29,7 +29,7 @@ from typing import Sequence
 from .alphabet import CountsLike, TreeAlphabet, degree_counts, f_valid_counts
 from .bitstream import BitSource, fisher_yates
 from .errors import DomainTooSmallError
-from .tree import PlanarTree, word_to_tree
+from .tree import PlanarTree
 from .words import LukasiewiczWord, permutation_to_valid_word, to_lukasiewicz
 
 __all__ = [
@@ -76,7 +76,11 @@ class DiscreteWeights:
         return self.cumulative[-1]
 
     def decrement(self, index: int) -> None:
-        """Take one unit of weight off index (it must have some left)."""
+        """Take one unit of weight off index (it must have some left).
+
+        A weight's domain is the integers >= 0, so an exhausted weight would
+        drop below it: DomainTooSmallError, as for a negative weight given.
+        """
         if self.weights[index] < 1:
             raise DomainTooSmallError(f"weight {index} already exhausted")
         self.weights[index] -= 1
@@ -158,11 +162,12 @@ def sample_tree(
     """Uniform rooted planar tree with letter counts t.
 
     Thin composition: sample a valid word (by the chosen method), rotate it
-    to the Lukasiewicz representative, decode the tree.  Uniformity over
+    to the Lukasiewicz representative, wrap it as a tree (the rotation has
+    proved the word, so word_to_tree's check is skipped).  Uniformity over
     trees follows from uniformity over valid words plus the cycle lemma.
     """
     word = sample_lukasiewicz_word(source, t, alphabet, method)
-    return word_to_tree(word, alphabet)
+    return PlanarTree(alphabet, list(word))
 
 
 def mean_cost_closed_form(k: int) -> Fraction:

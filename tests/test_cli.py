@@ -255,6 +255,16 @@ def test_module_and_script_entry_points():
         assert len(lines) == 1 and lines[0].startswith("lukatree: error:"), lines
 
 
+def test_import_leaves_scipy_unloaded():
+    """The package and its CLI need numpy only; scipy must not creep back in."""
+    probe = "import sys, lukatree, lukatree.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=checkout_env()
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 # Output of `height-scan --n 101 --fractions 0,0.5,0.9 --replicates 64
 # --seed 3`: the same seed must keep giving the same bytes.
 PINNED_SCANS = {
@@ -492,7 +502,9 @@ def run_quiet(argv):
 
 
 def number_text(values):
-    return st.one_of(values.map(str), st.sampled_from(["", "x", "1e3", "nan", "0x10"]))
+    """Decimal text of a drawn value, or (one time in four) text that is no int."""
+    junk = st.sampled_from(["", "x", "1e3", "nan", "0x10"])
+    return st.integers(0, 3).flatmap(lambda i: values.map(str) if i else junk)
 
 
 FRACTION_TEXT = st.one_of(
@@ -500,6 +512,48 @@ FRACTION_TEXT = st.one_of(
     st.floats(0, 1).map(repr),
     st.sampled_from(["", "x", "1/2", " 0.3", "-inf"]),
 )
+
+
+# (text, degrees) pairs; the valid ones have at most three letters, the leaf
+# first, so that any tuple below the caps stays small
+VALID_ALPHABETS = [
+    (MOTZKIN, (-1, 0, 1)),
+    (BINARY, (-1, 1)),
+    ("a:-1,b:0", (-1, 0)),
+    ("a:-1,c:2", (-1, 2)),
+]
+JUNK_ALPHABETS = [(text, None) for text in ("", "a", "a:-1,a:0", "a:x", "a:-2,b:1", "a:0,b:1")]
+
+
+def valid_counts(draw, degrees, largest):
+    """An f-valid counts tuple: free counts for the inner letters, then leaves."""
+    inner = [draw(st.integers(0, largest)) for _ in degrees[1:]]
+    return [1 + sum(d * c for d, c in zip(degrees[1:], inner)), *inner]
+
+
+def tuple_text(draw, degrees, largest):
+    """Often an f-valid tuple of the alphabet, otherwise up to three drawn counts."""
+    if degrees and draw(st.integers(0, 3)):
+        return ",".join(map(str, valid_counts(draw, degrees, largest)))
+    counts = st.lists(number_text(st.integers(-2, largest)), min_size=1, max_size=3)
+    return ",".join(draw(counts))
+
+
+def word_text(draw, alphabet_text, degrees):
+    """Often an arrangement of a valid tuple, rotated Lukasiewicz or not; else junk."""
+    if not degrees or not draw(st.integers(0, 3)):
+        return draw(st.one_of(st.text("abcx", max_size=12), st.sampled_from(["a b", "-"])))
+    counts = valid_counts(draw, degrees, 3)
+    letters = draw(st.permutations([i for i, c in enumerate(counts) for _ in range(c)]))
+    if draw(st.booleans()):
+        alphabet = lukatree.parse_alphabet(alphabet_text)
+        letters = lukatree.to_lukasiewicz(letters, alphabet)
+    symbols = [part.split(":")[0] for part in alphabet_text.split(",")]
+    return "".join(symbols[i] for i in letters)
+
+
+def optional(draw, flag, values):
+    return [flag, draw(values)] if draw(st.booleans()) else []
 
 
 @st.composite
@@ -520,15 +574,53 @@ def height_scan_argv(draw):
     return argv
 
 
-@settings(max_examples=80, deadline=None)
-@given(height_scan_argv())
-def test_height_scan_argv_never_crashes(argv):
+@st.composite
+def any_argv(draw):
+    """Argument lists for every subcommand, sized so that each case runs fast."""
+    command = draw(st.sampled_from(sorted(cli._HANDLERS) + ["", "grow"]))
+    if command == "height-scan":
+        return draw(height_scan_argv())
+    seed = optional(draw, "--seed", number_text(st.integers(-(2**70), 2**70)))
+    formats = st.sampled_from(["paren", "dot", "luka", "svg"])
+    alphabets = VALID_ALPHABETS if draw(st.integers(0, 3)) else JUNK_ALPHABETS
+    alphabet_text, degrees = draw(st.sampled_from(alphabets))
+    argv = [command, "--alphabet", alphabet_text]
+    if command == "sample":
+        argv += ["--tuple", tuple_text(draw, degrees, 6)]
+        argv += optional(draw, "--count", number_text(st.integers(-3, 5)))
+        argv += optional(draw, "--method", st.sampled_from(["dicho", "perm", "magic"]))
+        argv += optional(draw, "--format", formats)
+        argv += ["--count-bits"] if draw(st.booleans()) else []
+        argv += seed
+    elif command in ("check", "render"):
+        argv += ["--word", word_text(draw, alphabet_text, degrees)]
+        argv += optional(draw, "--format", formats) if command == "render" else []
+    elif command == "count":
+        argv += ["--tuple", tuple_text(draw, degrees, 60)]
+        argv += optional(draw, "--kind", st.sampled_from(["trees", "words", "forests"]))
+    elif command == "enumerate":
+        argv += ["--tuple", tuple_text(draw, degrees, 3)]
+        argv += optional(draw, "--limit", number_text(st.integers(-3, 14)))
+    elif command == "bitcost":
+        argv = [command, "--k-max", draw(number_text(st.integers(-3, 8)))]
+        argv += ["--replicates", draw(number_text(st.integers(-3, 20)))]
+        argv += seed
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_argv())
+def test_any_argv_never_crashes(argv):
+    """Every subcommand ends in exit 0 with output, exit 1 with one error line,
+    or exit 2 from argparse; never a traceback or a NaN."""
     code, out, err = run_quiet(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err
     assert "nan" not in out
     if code == 0:
-        assert out.startswith(HEIGHT_SCAN_COLUMNS + "\n") and out.count("\n") >= 2
+        assert out.strip(), argv
+        if argv[0] == "height-scan":
+            assert out.startswith(HEIGHT_SCAN_COLUMNS + "\n") and out.count("\n") >= 2
     elif code == 1:
         lines = err.splitlines()
         assert out == "" and len(lines) == 1, (argv, err)

@@ -16,6 +16,7 @@ from lukatree import (
     tutte_count,
     valid_word_count,
 )
+from lukatree.enumeration import _chi_square_p
 
 MOTZKIN_NUMBERS = (1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798)  # n = 1..12
 CATALAN_NUMBERS = (1, 1, 2, 5, 14, 42, 132)  # binary internal nodes b = 0..6
@@ -142,6 +143,46 @@ def test_chi_square_even_df_closed_form():
         half = stat / 2.0
         closed = math.exp(-half) * sum(half**j / math.factorial(j) for j in range(m))
         assert result.p_value == pytest.approx(closed, rel=1e-10)
+
+
+def test_chi_square_odd_df_closed_form():
+    # df = 1: erfc(sqrt(x/2)); df = 3: erfc(sqrt y) + 2 sqrt(y/pi) e^-y, y = x/2
+    def df1(x):
+        return math.erfc(math.sqrt(x / 2.0))
+
+    def df3(x):
+        y = x / 2.0
+        return math.erfc(math.sqrt(y)) + 2.0 * math.sqrt(y / math.pi) * math.exp(-y)
+
+    cases = [
+        ({"a": 30, "b": 10}, 2, 10.0, 1, df1),
+        ({"a": 10, "b": 20, "c": 30, "d": 20}, 4, 10.0, 3, df3),
+    ]
+    for observed, support, stat, df, closed in cases:
+        result = chi_square_uniformity(observed, support)
+        assert result.statistic == pytest.approx(stat)
+        assert result.degrees == df
+        assert result.p_value == pytest.approx(closed(result.statistic), rel=1e-10)
+    for x in (1e-6, 0.3, 1.0, 2.5, 7.0, 30.0, 120.0):
+        assert _chi_square_p(x, 1) == pytest.approx(df1(x), rel=1e-10)
+        assert _chi_square_p(x, 3) == pytest.approx(df3(x), rel=1e-10)
+    # a statistic of 0 gives exactly 1, for odd and even df alike
+    odd = chi_square_uniformity({i: 25 for i in range(8)}, 8)
+    even = chi_square_uniformity({i: 5 for i in range(3)}, 3)
+    assert (odd.degrees, even.degrees) == (7, 2)
+    assert odd.statistic == even.statistic == 0.0
+    assert odd.p_value == 1.0 and even.p_value == 1.0
+
+
+def test_chi_square_tail_matches_scipy():
+    gammaincc = pytest.importorskip("scipy.special").gammaincc
+    for df in (1, 2, 3, 4, 5, 9, 10, 99, 100, 1000, 4999, 5000):
+        top = 3 * df + 50
+        for step in range(201):
+            x = top * step / 200
+            reference = float(gammaincc(df / 2.0, x / 2.0))
+            if reference > 1e-300:
+                assert _chi_square_p(x, df) == pytest.approx(reference, rel=1e-10), (df, x)
 
 
 def test_chi_square_absent_cells_count():
