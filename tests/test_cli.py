@@ -301,6 +301,51 @@ def test_height_scan_pinned_csv(capsys, method):
     assert out == HEIGHT_SCAN_COLUMNS + "\n" + PINNED_SCANS[method]
 
 
+# Output of `height-scan --engine E --method M --n 11 --fractions 0,0.5
+# --replicates 2050 --seed 5`.  2050 rows cross the 2048-row chunk boundary,
+# so these pin how each engine's word source is split into chunks.
+PINNED_CHUNKED_SCANS = {
+    ("scalar", "dicho"): (
+        "0.0,0,5,11,2050,4.257561,1.283703,0.865472,0.678041\n"
+        "0.5,6,2,11,2050,6.568780,1.980562,0.844514,1.082899\n"
+    ),
+    ("scalar", "perm"): (
+        "0.0,0,5,11,2050,4.240000,1.278408,0.861903,0.693665\n"
+        "0.5,6,2,11,2050,6.591707,1.987475,0.847462,1.085703\n"
+    ),
+    ("batch", "dicho"): (
+        "0.0,0,5,11,2050,4.213171,1.270319,0.856449,0.675097\n"
+        "0.5,6,2,11,2050,6.573171,1.981886,0.845079,1.079451\n"
+    ),
+    ("batch", "perm"): (
+        "0.0,0,5,11,2050,4.234146,1.276643,0.860713,0.680772\n"
+        "0.5,6,2,11,2050,6.623415,1.997035,0.851538,1.070314\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("engine, method", sorted(PINNED_CHUNKED_SCANS))
+def test_height_scan_pinned_csv_across_a_chunk(capsys, engine, method):
+    code, out, err = run_cli(
+        capsys,
+        "height-scan",
+        "--engine",
+        engine,
+        "--method",
+        method,
+        "--n",
+        "11",
+        "--fractions",
+        "0,0.5",
+        "--replicates",
+        "2050",
+        "--seed",
+        "5",
+    )
+    assert code == 0 and err == ""
+    assert out == HEIGHT_SCAN_COLUMNS + "\n" + PINNED_CHUNKED_SCANS[engine, method]
+
+
 @pytest.mark.parametrize(
     "flags",
     [
