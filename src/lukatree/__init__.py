@@ -84,7 +84,6 @@ from .words import (
     rotation_index,
     rotations_that_are_lukasiewicz,
     to_lukasiewicz,
-    word_height,
 )
 
 __version__ = "0.1.0"

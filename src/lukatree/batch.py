@@ -13,10 +13,11 @@ Per-row word distributions are therefore *exactly* those of the scalar
 pipelines; what this engine does not model is the fair-bit cost, so every
 bit-counting claim in the package is measured on the scalar side.  Rotation
 to the Lukasiewicz representative is the array form of the scalar cycle
-lemma.  Heights come from the height process of the Lukasiewicz path, the
-recurrence of :func:`lukatree.words.word_height` run on all rows at once.
-Both are cross-checked against the scalar code in the tests, word
-for word.
+lemma.  Heights come from the height process of the Lukasiewicz path, run on
+all rows at once; :func:`lukatree.experiments.run_height_scan` measures the
+scalar engine's trees with it too, so the package has one height recurrence.
+Rotation and heights are cross-checked against the scalar code in the tests,
+word for word.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "batch_valid_words",
     "batch_rotate",
     "batch_heights",
-    "sample_heights",
 ]
 
 
@@ -101,26 +101,3 @@ def batch_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
         np.add(base, path[pos], out=cell)
     return best
 
-
-def sample_heights(
-    rng: np.random.Generator,
-    counts: tuple[int, ...],
-    degrees: tuple[int, ...],
-    replicates: int,
-    method: str = "dichotomic",
-    chunk: int = 2048,
-) -> np.ndarray:
-    """Heights of `replicates` uniform trees of the counts tuple (int32).
-
-    Replicates are processed in row chunks to bound memory; the generator is
-    consumed sequentially, so results are deterministic given its seed.
-    """
-    heights = np.empty(replicates, dtype=np.int32)
-    done = 0
-    while done < replicates:
-        m = min(chunk, replicates - done)
-        words = batch_valid_words(rng, counts, m, method)
-        luka = batch_rotate(words, degrees)
-        heights[done : done + m] = batch_heights(luka, degrees)
-        done += m
-    return heights

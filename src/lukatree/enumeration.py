@@ -146,17 +146,36 @@ def _chi_square_p(statistic: float, degrees: int) -> float:
     # (Abramowitz & Stegun §26.4):
     #   even df: e^-y * sum_{i<df/2} y^i / i!
     #   odd df:  erfc(sqrt y) + e^-y * sum_{i<(df-1)/2} y^(i+1/2) / Gamma(i+3/2)
-    # each term is exp(p log y - y - lgamma(p+1)), so none overflows, and
-    # fsum takes them one at a time, so memory stays flat however large df is
+    # term i is exp(L(i)), L(i) = p log y - y - lgamma(p+1) with p = i + odd/2,
+    # so none overflows.  L is concave in i and largest at i = floor(y - odd/2),
+    # so the sum walks out both ways from there (clamped to the range) and
+    # stops where L falls 50 below that peak; past the stop the terms shrink
+    # at least geometrically, so the part left out is of order e^-50 of the
+    # sum, and terms that underflow to 0 end the walk as well
     if statistic <= 0.0:
         return 1.0
     y = statistic / 2.0
     log_y = math.log(y)
     odd = degrees % 2
+    count = degrees // 2
     head = math.erfc(math.sqrt(y)) if odd else 0.0
-    powers = (i + odd / 2 for i in range(degrees // 2))
-    terms = (math.exp(p * log_y - y - math.lgamma(p + 1)) for p in powers)
-    return min(1.0, math.fsum(chain([head], terms)))
+
+    def log_term(i: int) -> float:
+        p = i + odd / 2
+        return p * log_y - y - math.lgamma(p + 1)
+
+    peak = max(min(int(y - odd / 2), count - 1), 0)
+    floor = log_term(peak) - 50.0
+
+    def walk(i: int, step: int) -> Iterator[float]:
+        while 0 <= i < count:
+            log = log_term(i)
+            if log < floor:
+                return
+            yield math.exp(log)
+            i += step
+
+    return min(1.0, math.fsum(chain([head], walk(peak, 1), walk(peak - 1, -1))))
 
 
 def chi_square_uniformity(observed: Mapping[object, int], support_size: int) -> ChiSquareResult:

@@ -12,7 +12,9 @@ replotted directly:
   fraction grows, trees get taller: with c_n binary nodes the height scales
   like (n / sqrt(c_n)) times a universal limit law, so sqrt(c_n)/n * height
   is the stable quantity and height/sqrt(n) grows as unary nodes displace
-  binary ones.
+  binary ones.  The batch engine draws the trees as numpy rows and the
+  scalar engine through the bit-level pipelines; both measure them with
+  :func:`lukatree.batch.batch_heights`.
 
 Both harnesses are deterministic for a fixed seed and configuration, down to
 the emitted CSV bytes.
@@ -27,11 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from .alphabet import DegreeTuple, motzkin_alphabet
-from .batch import sample_heights
+from .batch import batch_heights, batch_rotate, batch_valid_words
 from .bitstream import _MASK64, BitSource
 from .errors import DomainTooSmallError, InfeasibleParityError, LukatreeError
 from .samplers import DiscreteWeights, dichotomic_draw, mean_cost_closed_form, sample_lukasiewicz_word
-from .words import word_height
 
 __all__ = [
     "motzkin_tuple",
@@ -46,6 +47,12 @@ __all__ = [
     "HEIGHT_SCAN_COLUMNS",
     "BITCOST_COLUMNS",
 ]
+
+
+# Rows drawn and measured together: this bounds a scan's memory to one chunk
+# of words, and fixes how the batch engine consumes its numpy stream, so a
+# different value would change the batch CSV bytes.
+_CHUNK = 2048
 
 
 def motzkin_tuple(n: int, u: int) -> DegreeTuple:
@@ -113,11 +120,12 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
     """Sample heights of uniform Motzkin trees for each unary fraction.
 
     Each fraction maps to u = round(fraction * n), parity-adjusted via
-    nearest_feasible_unary.  The batch engine (default) vectorizes the
-    replicates; the scalar engine drives the bit-level pipelines from one
-    BitSource(seed), drawing every tree of the scan in turn.  Both measure
-    heights with the same height-process recurrence (word_height and
-    batch_heights).  Either way the run is deterministic for a fixed config;
+    nearest_feasible_unary.  Replicates go in chunks of at most _CHUNK rows,
+    and only the source of a chunk's Lukasiewicz words depends on the engine:
+    the batch engine (default) draws and rotates them as numpy rows, the
+    scalar engine runs the bit-level pipelines from one BitSource(seed),
+    drawing every tree of the scan in turn.  Both then measure the chunk with
+    batch_heights.  Either way the run is deterministic for a fixed config;
     like BitSource, the batch engine reads the seed modulo 2^64.
     """
     if cfg.replicates < 1:
@@ -128,9 +136,12 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
         if not 0.0 <= fraction < 1.0:  # also false for NaN
             raise LukatreeError(f"unary fraction {fraction!r} is not in [0, 1)")
     if cfg.n >= 2**31:
-        # the batch engine's lattice paths are int32
+        # batch_heights keeps the lattice paths in int32
         raise LukatreeError(f"tree size {cfg.n} is not below 2^31")
+    if cfg.engine not in ("batch", "scalar"):
+        raise LukatreeError(f"unknown engine {cfg.engine!r}")
     alphabet = motzkin_alphabet()
+    degrees = alphabet.degrees
     source = BitSource(cfg.seed)
     rows = []
     for row_idx, fraction in enumerate(cfg.unary_fractions):
@@ -138,16 +149,16 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
         t = motzkin_tuple(cfg.n, u)
         if cfg.engine == "batch":
             rng = np.random.default_rng([cfg.seed & _MASK64, row_idx])
-            heights = sample_heights(
-                rng, t.counts, alphabet.degrees, cfg.replicates, cfg.method
-            )
-        elif cfg.engine == "scalar":
-            heights = np.empty(cfg.replicates, dtype=np.int32)
-            for rep in range(cfg.replicates):
-                word = sample_lukasiewicz_word(source, t, alphabet, cfg.method)
-                heights[rep] = word_height(word, alphabet)
-        else:
-            raise ValueError(f"unknown engine {cfg.engine!r}")
+        heights = np.empty(cfg.replicates, dtype=np.int32)
+        for done in range(0, cfg.replicates, _CHUNK):
+            m = min(_CHUNK, cfg.replicates - done)
+            if cfg.engine == "batch":
+                words = batch_rotate(batch_valid_words(rng, t.counts, m, cfg.method), degrees)
+            else:
+                words = np.empty((m, cfg.n), dtype=np.int8)
+                for row in words:
+                    row[:] = sample_lukasiewicz_word(source, t, alphabet, cfg.method)
+            heights[done : done + m] = batch_heights(words, degrees)
         c = t.counts[2]
         mean = float(np.mean(heights))
         rows.append(

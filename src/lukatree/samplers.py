@@ -26,7 +26,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
-from .alphabet import CountsLike, TreeAlphabet, degree_counts, f_valid_counts
+from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
 from .bitstream import BitSource, fisher_yates
 from .errors import DomainTooSmallError
 from .tree import PlanarTree
@@ -145,7 +145,7 @@ def sample_lukasiewicz_word(
     if method == "dichotomic":
         word = tuple_to_valid_word(source, t, alphabet)
     elif method == "permutation":
-        counts = degree_counts(t)
+        counts = f_valid_counts(t, alphabet)  # check before the shuffle spends bits
         sigma = fisher_yates(source, sum(counts))
         word = permutation_to_valid_word(sigma, counts, alphabet)
     else:

@@ -28,7 +28,6 @@ __all__ = [
     "Classification",
     "LukasiewiczWord",
     "path_heights",
-    "word_height",
     "classify",
     "rotation_index",
     "to_lukasiewicz",
@@ -55,52 +54,18 @@ class LukasiewiczWord(tuple):
     __slots__ = ()
 
 
-def _steps(word: Sequence[int], alphabet: TreeAlphabet) -> list[int]:
+def path_heights(word: Sequence[int], alphabet: TreeAlphabet) -> list[int]:
+    """Prefix sums s_1..s_n of the letter degrees (the lattice path)."""
     degrees = alphabet.degrees
     k = alphabet.k
-    out = []
+    steps = []
     for letter in word:
         if not 0 <= letter < k:
             raise ArityMismatchError(
                 f"letter index {letter} outside alphabet of {k} letters"
             )
-        out.append(degrees[letter])
-    return out
-
-
-def path_heights(word: Sequence[int], alphabet: TreeAlphabet) -> list[int]:
-    """Prefix sums s_1..s_n of the letter degrees (the lattice path)."""
-    return list(accumulate(_steps(word, alphabet)))
-
-
-def word_height(word: Sequence[int], alphabet: TreeAlphabet) -> int:
-    """Height of the tree of a Lukasiewicz word, read off its path alone.
-
-    Node m of the preorder sits at depth H_m = #{j < m : s_j = min s_j..s_m}
-    (the height process of the path s_0 = 0, s_1, ..).  No degree is below
-    -1, so a leaf at level s_m closes exactly the nodes opened at that level,
-    and a count of open nodes per level is all the state needed.
-    :func:`lukatree.batch.batch_heights` runs the same recurrence on arrays.
-    """
-    steps = _steps(word, alphabet)
-    opened: dict[int, int] = {}
-    level = depth = best = 0
-    for i, step in enumerate(steps):
-        if level < 0:
-            raise NotAValidWordError(
-                f"tree complete after {i} letters but the word has {len(steps)}; "
-                "not a Lukasiewicz word"
-            )
-        best = max(best, depth)
-        if step >= 0:
-            opened[level] = opened.get(level, 0) + 1
-            depth += 1
-        else:
-            depth -= opened.pop(level, 0)
-        level += step
-    if level != -1:
-        raise NotAValidWordError(f"degree total {level} != -1, word is not valid")
-    return best
+        steps.append(degrees[letter])
+    return list(accumulate(steps))
 
 
 def classify(word: Sequence[int], alphabet: TreeAlphabet) -> Classification:

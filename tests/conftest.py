@@ -10,7 +10,9 @@ code as written, independent of how the code arrives at it.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable
 
 import pytest
@@ -85,3 +87,15 @@ def binary():
     from lukatree import binary_alphabet
 
     return binary_alphabet()
+
+
+def checkout_env() -> dict[str, str]:
+    """Child environment whose PYTHONPATH starts at the lukatree under test."""
+    import lukatree
+
+    env = dict(os.environ)
+    paths = [str(Path(lukatree.__file__).parents[1])]
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    return env

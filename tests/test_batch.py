@@ -8,12 +8,14 @@ from lukatree import (
     chi_square_homogeneity,
     chi_square_uniformity,
     classify,
+    enumerate_lukasiewicz,
     height,
+    motzkin_tuple,
     to_lukasiewicz,
     tutte_count,
     word_to_tree,
 )
-from lukatree.batch import batch_heights, batch_rotate, batch_valid_words, sample_heights
+from lukatree.batch import batch_heights, batch_rotate, batch_valid_words
 
 
 def rows_to_heights(rows, alphabet):
@@ -56,6 +58,20 @@ def test_heights_match_scalar_reference(motzkin):
         word = tuple(int(x) for x in row)
         assert classify(word, motzkin) is Classification.LUKASIEWICZ
         assert int(h) == height(word_to_tree(word, motzkin))
+
+
+def test_heights_match_tree_height_exhaustively(motzkin):
+    # every Motzkin tree with at most 10 nodes
+    for n in range(1, 11):
+        words = [
+            word
+            for u in range(n)
+            if (n - u) % 2 == 1
+            for word in enumerate_lukasiewicz(motzkin_tuple(n, u), motzkin)
+        ]
+        rows = np.array(words, dtype=np.int8)
+        expected = [height(word_to_tree(word, motzkin)) for word in words]
+        assert batch_heights(rows, motzkin.degrees).tolist() == expected
 
 
 def test_wide_arity_alphabet_matches_scalar():
@@ -125,23 +141,6 @@ def test_batch_methods_agree_in_law(motzkin):
         assert chi_square_uniformity(counts, support).p_value > 0.001
         samples[method] = counts
     assert chi_square_homogeneity(*samples.values()).p_value > 0.001
-
-
-def test_sample_heights_deterministic(motzkin):
-    a = sample_heights(np.random.default_rng(42), (501, 0, 500), motzkin.degrees, 96)
-    b = sample_heights(np.random.default_rng(42), (501, 0, 500), motzkin.degrees, 96)
-    assert np.array_equal(a, b)
-
-
-def test_sample_heights_chunking_preserves_law(motzkin):
-    # different chunk sizes reorder generator consumption, so arrays differ,
-    # but the height law must not; compare first two moments
-    kw = dict(counts=(26, 9, 25), degrees=motzkin.degrees, replicates=4000)
-    small = sample_heights(np.random.default_rng(8), chunk=16, **kw)
-    large = sample_heights(np.random.default_rng(9), chunk=4000, **kw)
-    gap = np.sqrt(small.var(ddof=1) / small.size + large.var(ddof=1) / large.size)
-    assert abs(small.mean() - large.mean()) < 6 * gap
-    assert 0.8 < small.std(ddof=1) / large.std(ddof=1) < 1.25
 
 
 # Rows of batch_valid_words(default_rng(1), (9, 3, 2, 2), 6, method), one

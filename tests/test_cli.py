@@ -3,7 +3,6 @@ import decimal
 import hashlib
 import io
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lukatree
+from conftest import checkout_env
 from lukatree import HEIGHT_SCAN_COLUMNS, cli
 from lukatree.cli import main
 
@@ -209,16 +209,6 @@ def console_script_target() -> str:
         tomllib = pytest.importorskip("tomli")
     with PYPROJECT.open("rb") as fh:
         return tomllib.load(fh)["project"]["scripts"]["lukatree"]
-
-
-def checkout_env() -> dict[str, str]:
-    """Child environment whose PYTHONPATH starts at the lukatree under test."""
-    env = dict(os.environ)
-    paths = [str(Path(lukatree.__file__).parents[1])]
-    if env.get("PYTHONPATH"):
-        paths.append(env["PYTHONPATH"])
-    env["PYTHONPATH"] = os.pathsep.join(paths)
-    return env
 
 
 def test_module_and_script_entry_points():

@@ -185,6 +185,16 @@ def test_chi_square_tail_matches_scipy():
                 assert _chi_square_p(x, df) == pytest.approx(reference, rel=1e-10), (df, x)
 
 
+def test_chi_square_tail_on_a_huge_support():
+    # df/2 = 5e8 closed-form terms; all but a few dozen are far below the
+    # peak (and underflow), so the walk from the peak must stop early
+    result = chi_square_uniformity({0: 3, 1: 2}, 10**9)
+    assert result.degrees == 10**9 - 1
+    assert result.p_value == 0.0
+    # a statistic at its mean keeps the tail near one half (median < mean)
+    assert 0.49 < _chi_square_p(10.0**9, 10**9) < 0.5
+
+
 def test_chi_square_absent_cells_count():
     # 3 of 5 outcomes seen; the two absent cells contribute their expectation
     result = chi_square_uniformity({0: 10, 1: 10, 2: 30}, 5)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lukatree import experiments
 from lukatree import (
     BITCOST_COLUMNS,
     HEIGHT_SCAN_COLUMNS,
@@ -153,9 +154,15 @@ def test_height_scan_reads_the_seed_modulo_2_64():
     assert scan(-1) != scan(1)
 
 
-def test_height_scan_rejects_unknown_engine():
+def test_height_scan_rejects_unknown_engine(monkeypatch):
+    # the engine is a config check: it fails before anything is sampled
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the engine was checked")
+
+    for name in ("BitSource", "batch_valid_words", "sample_lukasiewicz_word", "motzkin_tuple"):
+        monkeypatch.setattr(experiments, name, never)
     cfg = HeightScanConfig(n=9, unary_fractions=(0.0,), replicates=4, engine="gpu")
-    with pytest.raises(ValueError):
+    with pytest.raises(LukatreeError, match="unknown engine 'gpu'"):
         run_height_scan(cfg)
 
 

@@ -11,6 +11,7 @@ from lukatree import (
     DegreeTuple,
     DiscreteWeights,
     DomainTooSmallError,
+    TupleNotValidError,
     chi_square_homogeneity,
     chi_square_uniformity,
     degree_census,
@@ -161,6 +162,18 @@ def test_sample_tree_singleton(motzkin):
     tree = sample_tree(source, (1, 0, 0), motzkin)
     assert serialize(tree, "paren") == "a"
     assert source.bits_consumed == 0
+
+
+@pytest.mark.parametrize("t", [(0, 0, 0), (3, 0, 0), (1, 0, 1)])
+def test_both_pipelines_check_the_tuple_before_drawing(motzkin, t):
+    errors = []
+    for method in ("dichotomic", "permutation"):
+        source = BitSource(5)
+        with pytest.raises(TupleNotValidError) as caught:
+            sample_lukasiewicz_word(source, t, motzkin, method=method)
+        assert source.bits_consumed == 0, method
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
 
 
 def test_pipelines_agree_in_law(motzkin):

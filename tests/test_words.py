@@ -1,7 +1,6 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,18 +14,13 @@ from lukatree import (
     TreeAlphabet,
     TupleNotValidError,
     classify,
-    enumerate_lukasiewicz,
-    height,
     motzkin_tuple,
     path_heights,
     permutation_to_valid_word,
     rotation_index,
     rotations_that_are_lukasiewicz,
     to_lukasiewicz,
-    word_height,
-    word_to_tree,
 )
-from lukatree.batch import batch_heights
 from lukatree.enumeration import enumerate_valid_words
 
 
@@ -66,6 +60,12 @@ def test_rotation_worked_example(motzkin):
     assert to_lukasiewicz(rotated, motzkin) == rotated
     with pytest.raises(NotAValidWordError):
         rotation_index(motzkin.parse_word("cacabaa"), motzkin)
+
+
+@pytest.mark.parametrize("word", [(3,), (2, -1, 0), (0, 0, 7)])
+def test_path_heights_rejects_letters_outside_the_alphabet(motzkin, word):
+    with pytest.raises(ArityMismatchError):
+        path_heights(word, motzkin)
 
 
 def test_rotations_oracle_on_examples(motzkin):
@@ -178,27 +178,3 @@ def test_cycle_lemma_property(pair):
     heights = path_heights(rotated, alphabet)
     assert heights[-1] == -1
     assert all(h >= 0 for h in heights[:-1])
-
-
-def test_word_height_matches_tree_height_exhaustively(motzkin):
-    # every Motzkin tree with at most 10 nodes, by scalar and batch recurrence
-    for n in range(1, 11):
-        words = [
-            word
-            for u in range(n)
-            if (n - u) % 2 == 1
-            for word in enumerate_lukasiewicz(motzkin_tuple(n, u), motzkin)
-        ]
-        expected = [height(word_to_tree(word, motzkin)) for word in words]
-        assert [word_height(word, motzkin) for word in words] == expected
-        rows = np.array(words, dtype=np.int8)
-        assert batch_heights(rows, motzkin.degrees).tolist() == expected
-
-
-def test_word_height_rejects_non_lukasiewicz(motzkin):
-    assert word_height((0,), motzkin) == 0
-    for word in ((), (2, 0), (0, 0), (1, 0, 0), (0, 2, 0), (2, 0, 0, 0)):
-        with pytest.raises(NotAValidWordError):
-            word_height(word, motzkin)
-    with pytest.raises(ArityMismatchError):
-        word_height((3,), motzkin)
