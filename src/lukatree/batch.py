@@ -23,6 +23,7 @@ word for word.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "batch_valid_words",
@@ -64,11 +65,14 @@ def batch_valid_words(
 def batch_rotate(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     """Rotate each row just past the first minimum of its path (cycle lemma)."""
     reps, n = words.shape
-    step_of = np.asarray(degrees, dtype=np.int32)
-    heights = np.cumsum(step_of[words], axis=1, dtype=np.int32)
-    ell = (np.argmin(heights, axis=1) + 1).astype(np.int32)  # first minimum
-    idx = (np.arange(n, dtype=np.int32)[None, :] + ell[:, None]) % np.int32(n)
-    return words[np.arange(reps)[:, None], idx]
+    path = np.asarray(degrees, dtype=np.int32)[words]
+    np.cumsum(path, axis=1, out=path)
+    ell = np.argmin(path, axis=1) + 1  # first minimum
+    del path
+    # row r's rotation is the window of length n at ell[r] in the row written
+    # twice; ell = n picks the second copy, which is the row itself
+    windows = sliding_window_view(np.concatenate((words, words), axis=1), n, axis=1)
+    return windows[np.arange(reps), ell]
 
 
 def batch_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:

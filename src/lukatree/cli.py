@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import sys
 from typing import Sequence
 
@@ -43,6 +44,7 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="64-bit PRNG seed (default 0)")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so main reuses one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lukatree",

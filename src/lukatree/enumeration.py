@@ -141,17 +141,29 @@ class ChiSquareResult:
     p_value: float
 
 
+def _stirling_remainder(p: float) -> float:
+    # lgamma(p+1) - (p log p - p + log(2 pi p)/2), as its asymptotic series
+    # 1/(12p) - 1/(360p^3) + 1/(1260p^5) - 1/(1680p^7) + ..., whose first term
+    # left out, 1/(1188p^9), is below 2e-15 for p >= 20
+    q = 1.0 / (p * p)
+    return (1 / 12 - q * (1 / 360 - q * (1 / 1260 - q / 1680))) / p
+
+
 def _chi_square_p(statistic: float, degrees: int) -> float:
     # upper tail Q(df/2, y) at y = x/2 for integer df, in closed form
     # (Abramowitz & Stegun §26.4):
     #   even df: e^-y * sum_{i<df/2} y^i / i!
     #   odd df:  erfc(sqrt y) + e^-y * sum_{i<(df-1)/2} y^(i+1/2) / Gamma(i+3/2)
     # term i is exp(L(i)), L(i) = p log y - y - lgamma(p+1) with p = i + odd/2,
-    # so none overflows.  L is concave in i and largest at i = floor(y - odd/2),
-    # so the sum walks out both ways from there (clamped to the range) and
-    # stops where L falls 50 below that peak; past the stop the terms shrink
-    # at least geometrically, so the part left out is of order e^-50 of the
-    # sum, and terms that underflow to 0 end the walk as well
+    # so none overflows.  Near the peak that L is a small difference of parts
+    # near p log p, whose rounding grows with p, so from p = 20 on it is taken
+    # in Stirling's form, where no part is much larger than d or log p:
+    #   L(i) = p log1p(d/p) - d - log(2 pi p)/2 - r(p),   d = y - p,
+    # r being Stirling's remainder.  L is concave in i and largest at
+    # i = floor(y - odd/2), so the sum walks out both ways from there (clamped
+    # to the range) and stops where L falls 50 below that peak; past the stop
+    # the terms shrink at least geometrically, so the part left out is of
+    # order e^-50 of the sum, and terms that underflow to 0 end the walk too
     if statistic <= 0.0:
         return 1.0
     y = statistic / 2.0
@@ -162,7 +174,10 @@ def _chi_square_p(statistic: float, degrees: int) -> float:
 
     def log_term(i: int) -> float:
         p = i + odd / 2
-        return p * log_y - y - math.lgamma(p + 1)
+        if p < 20:
+            return p * log_y - y - math.lgamma(p + 1)
+        d = y - p
+        return p * math.log1p(d / p) - d - 0.5 * math.log(2 * math.pi * p) - _stirling_remainder(p)
 
     peak = max(min(int(y - odd / 2), count - 1), 0)
     floor = log_term(peak) - 50.0

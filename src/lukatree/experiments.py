@@ -26,10 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .alphabet import DegreeTuple, motzkin_alphabet
-from .batch import batch_heights, batch_rotate, batch_valid_words
 from .bitstream import _MASK64, BitSource
 from .errors import DomainTooSmallError, InfeasibleParityError, LukatreeError
 from .samplers import DiscreteWeights, dichotomic_draw, mean_cost_closed_form, sample_lukasiewicz_word
@@ -140,6 +137,12 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
         raise LukatreeError(f"tree size {cfg.n} is not below 2^31")
     if cfg.engine not in ("batch", "scalar"):
         raise LukatreeError(f"unknown engine {cfg.engine!r}")
+    # numpy loads here and in run_bitcost_scan only, so that importing the
+    # package, and every subcommand other than the two scans, goes without it
+    import numpy as np
+
+    from .batch import batch_heights, batch_rotate, batch_valid_words
+
     alphabet = motzkin_alphabet()
     degrees = alphabet.degrees
     source = BitSource(cfg.seed)
@@ -223,6 +226,8 @@ def run_bitcost_scan(k_max: int, replicates: int, seed: int = 0) -> list[BitCost
         raise DomainTooSmallError(f"scan needs k_max >= 2, got {k_max}")
     if replicates < 2:
         raise DomainTooSmallError("need at least two replicates for a standard error")
+    import numpy as np
+
     source = BitSource(seed)
     rows = []
     for k in range(2, k_max + 1):

@@ -246,13 +246,48 @@ def test_module_and_script_entry_points():
 
 
 def test_import_leaves_scipy_unloaded():
-    """The package and its CLI need numpy only; scipy must not creep back in."""
+    """The package and its CLI never need scipy; it must not creep back in."""
     probe = "import sys, lukatree, lukatree.cli; print('scipy' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=checkout_env()
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+NUMPY_PROBE = f"""
+import contextlib, io, sys
+import lukatree, lukatree.cli
+print("import", "numpy" in sys.modules)
+for argv in (
+    ["sample", "--alphabet", "{MOTZKIN}", "--tuple", "3,1,2", "--count", "2"],
+    ["check", "--alphabet", "{MOTZKIN}", "--word", "cacbaba"],
+    ["count", "--alphabet", "{MOTZKIN}", "--tuple", "3,2,2"],
+    ["enumerate", "--alphabet", "{BINARY}", "--tuple", "3,2"],
+    ["render", "--alphabet", "{MOTZKIN}", "--word", "cacbaba"],
+    ["height-scan", "--n", "11", "--fractions", "0.5", "--replicates", "3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = lukatree.cli.main(argv)
+    print(argv[0], code, "numpy" in sys.modules)
+"""
+
+
+def test_only_the_scans_load_numpy():
+    """Import and the scalar subcommands run without numpy; height-scan loads it."""
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, env=checkout_env()
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "import False",
+        "sample 0 False",
+        "check 0 False",
+        "count 0 False",
+        "enumerate 0 False",
+        "render 0 False",
+        "height-scan 0 True",
+    ]
 
 
 # Output of `height-scan --n 101 --fractions 0,0.5,0.9 --replicates 64

@@ -183,6 +183,12 @@ def test_chi_square_tail_matches_scipy():
             reference = float(gammaincc(df / 2.0, x / 2.0))
             if reference > 1e-300:
                 assert _chi_square_p(x, df) == pytest.approx(reference, rel=1e-10), (df, x)
+    # around the mean of a huge df, where each term's log is a difference of
+    # numbers near 10**8 unless it is taken in Stirling's form
+    for df in (10**6, 10**7):
+        for x in (0.99 * df, df, 1.01 * df):
+            reference = float(gammaincc(df / 2.0, x / 2.0))
+            assert _chi_square_p(x, df) == pytest.approx(reference, rel=1e-10), (df, x)
 
 
 def test_chi_square_tail_on_a_huge_support():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from lukatree import experiments
+from lukatree import batch, experiments
 from lukatree import (
     BITCOST_COLUMNS,
     HEIGHT_SCAN_COLUMNS,
@@ -159,8 +159,10 @@ def test_height_scan_rejects_unknown_engine(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("sampled before the engine was checked")
 
-    for name in ("BitSource", "batch_valid_words", "sample_lukasiewicz_word", "motzkin_tuple"):
+    for name in ("BitSource", "sample_lukasiewicz_word", "motzkin_tuple"):
         monkeypatch.setattr(experiments, name, never)
+    # run_height_scan imports the batch sampler at call time
+    monkeypatch.setattr(batch, "batch_valid_words", never)
     cfg = HeightScanConfig(n=9, unary_fractions=(0.0,), replicates=4, engine="gpu")
     with pytest.raises(LukatreeError, match="unknown engine 'gpu'"):
         run_height_scan(cfg)
