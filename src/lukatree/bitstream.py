@@ -15,6 +15,7 @@ from .errors import DomainTooSmallError
 __all__ = ["BitSource", "uniform_int", "fisher_yates"]
 
 _MASK64 = (1 << 64) - 1
+_SENTINEL = 1 << 64  # marks the top of a freshly fetched word
 
 
 class BitSource:
@@ -25,49 +26,56 @@ class BitSource:
     ``next_bit()`` calls with the first-drawn bit in the least significant
     position; it exists because the word buffer makes the bulk form much
     cheaper than k method calls.
+
+    The unread bits of the current word sit below a leading 1 in ``_buf``,
+    so ``_buf == 1`` means the buffer is empty and the count of unread bits
+    is ``_buf.bit_length() - 1``.  ``bits_consumed`` is derived from that and
+    the number of words fetched, so a bit costs one attribute write.
     """
 
-    __slots__ = ("_rng", "_buf", "_avail", "bits_consumed")
+    __slots__ = ("_rng", "_buf", "_words")
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed & _MASK64)
-        self._buf = 0
-        self._avail = 0
-        self.bits_consumed = 0
+        self._buf = 1
+        self._words = 0
+
+    @property
+    def bits_consumed(self) -> int:
+        """Bits handed out so far."""
+        return 64 * self._words - (self._buf.bit_length() - 1)
 
     def next_bit(self) -> int:
         """One fair bit, 0 or 1."""
-        if self._avail == 0:
-            self._buf = self._rng.getrandbits(64)
-            self._avail = 64
-        bit = self._buf & 1
-        self._buf >>= 1
-        self._avail -= 1
-        self.bits_consumed += 1
-        return bit
+        buf = self._buf
+        if buf == 1:
+            buf = self._rng.getrandbits(64) | _SENTINEL
+            self._words += 1
+        self._buf = buf >> 1
+        return buf & 1
 
     def next_bits(self, count: int) -> int:
         """count fair bits as one integer, first-drawn bit least significant."""
-        avail = self._avail
+        buf = self._buf
+        avail = buf.bit_length() - 1
         if count <= avail:
-            out = self._buf & ((1 << count) - 1)
-            self._buf >>= count
-            self._avail = avail - count
-        else:
-            # drain the buffer, then take whole fresh 64-bit words
-            out = self._buf
-            shift = avail
-            remaining = count - avail
-            getrandbits = self._rng.getrandbits
-            while remaining > 64:
-                out |= getrandbits(64) << shift
-                shift += 64
-                remaining -= 64
-            buf = getrandbits(64)
-            out |= (buf & ((1 << remaining) - 1)) << shift
-            self._buf = buf >> remaining
-            self._avail = 64 - remaining
-        self.bits_consumed += count
+            self._buf = buf >> count
+            return buf & ((1 << count) - 1)
+        # drain the buffer, then take whole fresh 64-bit words
+        out = buf ^ (1 << avail)
+        shift = avail
+        remaining = count - avail
+        getrandbits = self._rng.getrandbits
+        words = 1
+        while remaining > 64:
+            out |= getrandbits(64) << shift
+            shift += 64
+            remaining -= 64
+            words += 1
+        buf = getrandbits(64) | _SENTINEL
+        out |= (buf & ((1 << remaining) - 1)) << shift
+        self._buf = buf >> remaining
+        self._words += words
         return out
 
 

@@ -8,6 +8,14 @@ segments [n_1 + .. + n_{i-1}, n_1 + .. + n_i).  All endpoints are exact
 integers scaled by 2^depth, so the output law is exactly n_i / n and the
 expected bit cost is below 2 + log2 k regardless of the weights.
 
+The loop never searches the segments: it keeps the candidate segment s (the
+one holding the interval's lower end) and its room, the distance from the
+interval's lower end to the segment's upper end, in units of n / 2^depth.
+A bit doubles the room and, if it is 1, takes n off; a room at or below zero
+means the lower end has passed the segment, so s moves on; a room of n or
+more means the whole interval fits, so the draw returns s.  Until then the
+room stays below 2n, so the loop runs on small integers.
+
 Sampling a uniform tree with letter counts t then goes one of two ways:
 
 permutation -- shuffle 1..n (Theta(n log n) bits), block-fill a valid word,
@@ -22,9 +30,9 @@ per draw.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
 from .bitstream import BitSource, fisher_yates
@@ -46,47 +54,74 @@ METHODS = ("dichotomic", "permutation")
 
 
 class DiscreteWeights:
-    """Non-negative integer weights with cached cumulative sums.
+    """Non-negative integer weights and their running total.
 
-    `cumulative` has k+1 entries starting at 0 and ending at the total.
-    `decrement(i)` keeps the cache in step in O(k), which is what the
-    letter-by-letter word sampler needs.
+    `cumulative` (k+1 entries from 0 to the total) is derived on each read;
+    the draw itself needs only the weights and the total, so `decrement(i)`
+    is O(1), which is what the letter-by-letter word sampler needs.
     """
 
-    __slots__ = ("weights", "cumulative")
+    __slots__ = ("weights", "total")
 
     def __init__(self, weights: Sequence[int]):
         ws = [int(w) for w in weights]
         if not ws or any(w < 0 for w in ws):
             raise DomainTooSmallError(f"weights must be non-empty and >= 0: {ws!r}")
-        if sum(ws) < 1:
+        total = sum(ws)
+        if total < 1:
             raise DomainTooSmallError("total weight must be at least 1")
         self.weights = ws
-        cum = [0]
-        for w in ws:
-            cum.append(cum[-1] + w)
-        self.cumulative = cum
+        self.total = total
 
     @property
     def k(self) -> int:
         return len(self.weights)
 
     @property
-    def total(self) -> int:
-        return self.cumulative[-1]
+    def cumulative(self) -> list[int]:
+        return list(accumulate(self.weights, initial=0))
 
     def decrement(self, index: int) -> None:
         """Take one unit of weight off index (it must have some left).
 
-        A weight's domain is the integers >= 0, so an exhausted weight would
-        drop below it: DomainTooSmallError, as for a negative weight given.
+        index must lie in 0..k-1: a negative one would silently hit a weight
+        counted from the end.  A weight's domain is the integers >= 0, so an
+        exhausted weight would drop below it: DomainTooSmallError, as for a
+        negative weight given.
         """
-        if self.weights[index] < 1:
+        ws = self.weights
+        if not 0 <= index < len(ws):
+            raise IndexError(f"weight index {index} outside 0..{len(ws) - 1}")
+        if ws[index] < 1:
             raise DomainTooSmallError(f"weight {index} already exhausted")
-        self.weights[index] -= 1
-        cum = self.cumulative
-        for j in range(index + 1, len(cum)):
-            cum[j] -= 1
+        ws[index] -= 1
+        self.total -= 1
+
+
+def _draw(next_bit: Callable[[], int], weights: Sequence[int], total: int) -> int:
+    """The dichotomic draw on raw weights summing to total >= 1.
+
+    After depth bits, with low the bits read (first bit most significant) and
+    scale = 2^depth, the interval is [low, low + 1) * total / scale and
+    room = cum[s+1] * scale - low * total for the candidate segment s.  The
+    interval fits in s, (low + 1) * total <= cum[s+1] * scale, exactly when
+    room >= total.
+    """
+    s = 0
+    room = weights[0]
+    while room <= 0:  # start at the first non-empty segment
+        s += 1
+        room = weights[s]
+    scale = 1
+    while room < total:
+        room <<= 1
+        scale <<= 1
+        if next_bit():
+            room -= total
+            while room <= 0:
+                s += 1
+                room += weights[s] * scale
+    return s
 
 
 def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
@@ -98,21 +133,17 @@ def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
 
     After depth bits the interval is [low * total / 2^depth,
     (low + 1) * total / 2^depth): low holds the bits read so far, first bit
-    most significant, so a 1-bit keeps the upper half.  Everything stays an
-    exact integer; refining by a bit doubles the scale, so no rounding ever
-    happens.
+    most significant, so a 1-bit keeps the upper half.  The draw tracks the
+    candidate segment's room, cum[s+1] * 2^depth - low * total, instead of
+    low itself: a bit maps it to 2 * room - bit * total, the segment changes
+    only when the room drops to zero or below, and the interval fits once
+    the room reaches total.  That is the dyadic-interval test step for step,
+    so the index and the bits read are the same.  Everything stays an exact
+    integer, so no rounding ever happens.
     """
-    cum = weights.cumulative
-    total = cum[-1]
-    next_bit = source.next_bit
-    low = depth = 0
-    while True:
-        # candidate segment: the one containing the interval's lower endpoint
-        seg = bisect_right(cum, (low * total) >> depth) - 1
-        if (low + 1) * total <= cum[seg + 1] << depth:
-            return seg
-        low = 2 * low + next_bit()
-        depth += 1
+    if weights.total < 1:
+        raise DomainTooSmallError("total weight must be at least 1")
+    return _draw(source.next_bit, weights.weights, weights.total)
 
 
 def tuple_to_valid_word(
@@ -123,14 +154,17 @@ def tuple_to_valid_word(
     Each position draws a letter with probability proportional to its
     remaining count, which makes every arrangement of the multiset equally
     likely; the expected cost is below (2 + log2 k) bits per letter.  The
-    final letter is forced and free.
+    final letter is forced and free.  The draws and decrements are those of
+    :func:`dichotomic_draw` and :meth:`DiscreteWeights.decrement`, run on a
+    plain list.
     """
     counts = f_valid_counts(t, alphabet)
-    pool = DiscreteWeights(counts)
+    left = list(counts)
+    next_bit = source.next_bit
     word = []
-    for _ in range(sum(counts)):
-        letter = dichotomic_draw(source, pool)
-        pool.decrement(letter)
+    for total in range(sum(left), 0, -1):
+        letter = _draw(next_bit, left, total)
+        left[letter] -= 1
         word.append(letter)
     return tuple(word)
 

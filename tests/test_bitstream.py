@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,40 @@ def test_determinism_and_bit_values():
     assert set(bits) <= {0, 1}
     assert a.bits_consumed == 1000
     assert BitSource(1).next_bit() == BitSource(1).next_bits(1)
+
+
+def _defined_stream(seed, count):
+    """The first count bits of BitSource(seed) by definition: LSB-first 64-bit words."""
+    rng = random.Random(seed & (2**64 - 1))
+    bits = []
+    while len(bits) < count:
+        word = rng.getrandbits(64)
+        bits.extend((word >> i) & 1 for i in range(64))
+    return bits[:count]
+
+
+@pytest.mark.parametrize("seed", [0, 12345, -1, 2**64 + 5])
+def test_stream_is_the_lsb_first_expansion_of_the_rng_words(seed):
+    # ("bit", m) is m next_bit() calls, ("bits", c) one next_bits(c); the
+    # steps cross word boundaries from an empty, a partial and a full buffer
+    steps = [
+        ("bits", 0), ("bit", 1), ("bits", 63), ("bits", 64), ("bit", 3),
+        ("bits", 65), ("bits", 0), ("bits", 129), ("bit", 70), ("bits", 1),
+        ("bits", 63), ("bit", 1), ("bits", 129), ("bits", 64), ("bit", 64),
+    ]
+    expected = _defined_stream(seed, sum(count for _, count in steps))
+    source = BitSource(seed)
+    pos = 0
+    for kind, count in steps:
+        if kind == "bit":
+            bits = [source.next_bit() for _ in range(count)]
+        else:
+            value = source.next_bits(count)
+            assert value >> count == 0
+            bits = [(value >> j) & 1 for j in range(count)]
+        assert bits == expected[pos : pos + count], (seed, kind, count, pos)
+        pos += count
+        assert source.bits_consumed == pos
 
 
 def test_seeds_differ():

@@ -521,6 +521,25 @@ def test_sample_pinned_renderings(capsys, method, fmt):
     assert out == PINNED_RENDERINGS[method, fmt]
 
 
+# sha256 of `sample --alphabet a:-1,b:0,c:1 --tuple 3334,3334,3333 --count 2
+# --count-bits --seed 3 --method M`: two benchmark-sized trees from one source
+PINNED_LARGE_SAMPLES = {
+    "dicho": "c8b8674b34d0fd5e1946a9db70a17d36737a56424d83a89d76551f7854dc3d39",
+    "perm": "d0b62450e12978f78df327e74201bff33aa81e35b9e5dbd85bb9a53a56ed88a1",
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_LARGE_SAMPLES))
+def test_sample_pinned_at_benchmark_scale(capsys, method):
+    code, out, err = run_cli(
+        capsys, "sample", "--alphabet", MOTZKIN, "--tuple", "3334,3334,3333",
+        "--count", "2", "--count-bits", "--seed", "3", "--method", method,
+    )
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LARGE_SAMPLES[method]
+
+
 def test_bitcost_pinned_csv(capsys):
     # output of `bitcost --k-max 9 --replicates 50 --seed 4`
     code, out, err = run_cli(

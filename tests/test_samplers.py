@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from lukatree import (
     dichotomic_draw,
     enumerate_valid_words,
     mean_cost_closed_form,
+    parse_alphabet,
     sample_lukasiewicz_word,
     sample_tree,
     serialize,
@@ -45,6 +47,83 @@ def test_discrete_weights_validation():
     w = DiscreteWeights((1, 0))
     with pytest.raises(DomainTooSmallError):
         w.decrement(1)
+
+
+@pytest.mark.parametrize("index", [-1, -3, 3])
+def test_decrement_rejects_an_index_outside_the_weights(index):
+    w = DiscreteWeights((2, 1, 1))
+    with pytest.raises(IndexError, match=str(index)):
+        w.decrement(index)
+    assert w.weights == [2, 1, 1] and w.total == 4
+    assert w.cumulative == [0, 2, 3, 4]
+
+
+def _reference_draw(source, weights):
+    """The dichotomic draw as first written: search the segments at every depth.
+
+    Kept as a test oracle for the room-tracking loop, which must return the
+    same index after reading the same bits.
+    """
+    cum = weights.cumulative
+    total = cum[-1]
+    next_bit = source.next_bit
+    low = depth = 0
+    while True:
+        # candidate segment: the one containing the interval's lower endpoint
+        seg = bisect_right(cum, (low * total) >> depth) - 1
+        if (low + 1) * total <= cum[seg + 1] << depth:
+            return seg
+        low = 2 * low + next_bit()
+        depth += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ws=st.lists(
+        st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 125_000)),
+        min_size=1,
+        max_size=8,
+    ).filter(lambda v: sum(v) > 0),
+    seed=st.integers(-(2**64), 2**64),
+    draws=st.integers(1, 20),
+)
+def test_draw_matches_the_reference_draw(ws, seed, draws):
+    new, old = BitSource(seed), BitSource(seed)
+    weights = DiscreteWeights(ws)
+    for _ in range(draws):
+        assert dichotomic_draw(new, weights) == _reference_draw(old, weights)
+        assert new.bits_consumed == old.bits_consumed
+    assert new.next_bits(64) == old.next_bits(64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    unary=st.integers(0, 40),
+    binary_nodes=st.integers(0, 40),
+    seed=st.integers(0, 2**64),
+)
+def test_word_fill_is_the_draw_and_decrement_composition(unary, binary_nodes, seed):
+    # the letter-by-letter replay the benchmark times must give the same word
+    counts = (binary_nodes + 1, unary, binary_nodes)
+    fill, replay = BitSource(seed), BitSource(seed)
+    word = tuple_to_valid_word(fill, counts, parse_alphabet("a:-1,b:0,c:1"))
+    pool = DiscreteWeights(counts)
+    letters = []
+    for _ in range(sum(counts)):
+        letter = dichotomic_draw(replay, pool)
+        pool.decrement(letter)
+        letters.append(letter)
+    assert word == tuple(letters)
+    assert fill.bits_consumed == replay.bits_consumed
+
+
+def test_draw_from_an_exhausted_pool_is_a_domain_error():
+    w = DiscreteWeights((1, 0))
+    w.decrement(0)
+    source = BitSource(0)
+    with pytest.raises(DomainTooSmallError):
+        dichotomic_draw(source, w)
+    assert source.bits_consumed == 0
 
 
 def test_draws_that_cost_nothing():
@@ -118,6 +197,23 @@ def test_tuple_to_valid_word_law_is_exact(binary):
     assert set(probs) == support
     for word in support:
         assert abs(probs[word] - Fraction(1, 3)) <= residual
+
+
+@pytest.mark.parametrize(
+    "alphabet,t",
+    [("a:-1,b:0,c:1", (2, 0, 1)), ("a:-1,b:0,c:1,d:2", (3, 0, 0, 1))],
+)
+def test_tuple_to_valid_word_law_is_exact_with_empty_segments(alphabet, t):
+    # a zero count leaves an empty segment the draw has to step over
+    alphabet = parse_alphabet(alphabet)
+    probs, residual = exact_distribution(
+        lambda src: tuple_to_valid_word(src, t, alphabet), max_depth=40
+    )
+    assert residual < Fraction(1, 10**6)
+    support = set(enumerate_valid_words(t, alphabet))
+    assert set(probs) == support
+    for word in support:
+        assert abs(probs[word] - Fraction(1, len(support))) <= residual
 
 
 def test_tuple_to_valid_word_uniformity(motzkin):
