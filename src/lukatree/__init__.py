@@ -5,9 +5,9 @@ one); a counts tuple fixes how often each letter occurs; uniform valid words
 of that multiset are drawn either by shuffling positions or letter by letter
 from fair bits; the cycle lemma rotates each valid word to the unique
 Lukasiewicz representative; and Lukasiewicz words are preorder codes of
-rooted planar trees.  Exact counting formulas, brute-force enumerators and
-chi-square helpers make every stage checkable, and the experiments module
-measures what the sampler costs in random bits and how tree height scales.
+rooted planar trees.  Exact counting formulas and brute-force enumerators
+make every stage checkable, and the experiments module measures what the
+sampler costs in random bits and how tree height scales.
 """
 
 from .alphabet import (
@@ -24,9 +24,6 @@ from .alphabet import (
 from .bitstream import BitSource, fisher_yates, uniform_int
 from .enumeration import (
     DEFAULT_ENUMERATION_LIMIT,
-    ChiSquareResult,
-    chi_square_homogeneity,
-    chi_square_uniformity,
     enumerate_lukasiewicz,
     enumerate_valid_words,
     tutte_count,
@@ -36,7 +33,6 @@ from .errors import (
     AlphabetError,
     ArityMismatchError,
     DomainTooSmallError,
-    EmptySupportError,
     InfeasibleParityError,
     LimitExceededError,
     LukatreeError,

@@ -1,4 +1,4 @@
-"""Exact counting, brute-force enumeration, and chi-square machinery.
+"""Exact counting and brute-force enumeration.
 
 The two counting formulas are the yardsticks everything else is measured
 against: a counts tuple (n_1, .., n_k) of total n has
@@ -8,18 +8,16 @@ against: a counts tuple (n_1, .., n_k) of total n has
 
 the second being the first divided by n, which is the cycle lemma in one
 line.  The enumerators reproduce the same numbers by exhaustion and give the
-uniformity tests their support sets.
+exact-law tests their support sets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
-from .errors import EmptySupportError, LimitExceededError
+from .errors import LimitExceededError
 from .words import LukasiewiczWord
 
 __all__ = [
@@ -27,9 +25,6 @@ __all__ = [
     "tutte_count",
     "enumerate_lukasiewicz",
     "enumerate_valid_words",
-    "ChiSquareResult",
-    "chi_square_uniformity",
-    "chi_square_homogeneity",
     "DEFAULT_ENUMERATION_LIMIT",
 ]
 
@@ -130,116 +125,3 @@ def enumerate_valid_words(
             f"tuple total {sum(counts)} exceeds enumeration limit {limit}"
         )
     return list(_arrangements(counts, alphabet.degrees, prune_prefix=False))
-
-
-@dataclass(frozen=True)
-class ChiSquareResult:
-    """Pearson statistic, its degrees of freedom, and the upper-tail p-value."""
-
-    statistic: float
-    degrees: int
-    p_value: float
-
-
-def _stirling_remainder(p: float) -> float:
-    # lgamma(p+1) - (p log p - p + log(2 pi p)/2), as its asymptotic series
-    # 1/(12p) - 1/(360p^3) + 1/(1260p^5) - 1/(1680p^7) + ..., whose first term
-    # left out, 1/(1188p^9), is below 2e-15 for p >= 20
-    q = 1.0 / (p * p)
-    return (1 / 12 - q * (1 / 360 - q * (1 / 1260 - q / 1680))) / p
-
-
-def _chi_square_p(statistic: float, degrees: int) -> float:
-    # upper tail Q(df/2, y) at y = x/2 for integer df, in closed form
-    # (Abramowitz & Stegun §26.4):
-    #   even df: e^-y * sum_{i<df/2} y^i / i!
-    #   odd df:  erfc(sqrt y) + e^-y * sum_{i<(df-1)/2} y^(i+1/2) / Gamma(i+3/2)
-    # term i is exp(L(i)), L(i) = p log y - y - lgamma(p+1) with p = i + odd/2,
-    # so none overflows.  Near the peak that L is a small difference of parts
-    # near p log p, whose rounding grows with p, so from p = 20 on it is taken
-    # in Stirling's form, where no part is much larger than d or log p:
-    #   L(i) = p log1p(d/p) - d - log(2 pi p)/2 - r(p),   d = y - p,
-    # r being Stirling's remainder.  L is concave in i and largest at
-    # i = floor(y - odd/2), so the sum walks out both ways from there (clamped
-    # to the range) and stops where L falls 50 below that peak; past the stop
-    # the terms shrink at least geometrically, so the part left out is of
-    # order e^-50 of the sum, and terms that underflow to 0 end the walk too
-    if statistic <= 0.0:
-        return 1.0
-    y = statistic / 2.0
-    log_y = math.log(y)
-    odd = degrees % 2
-    count = degrees // 2
-    head = math.erfc(math.sqrt(y)) if odd else 0.0
-
-    def log_term(i: int) -> float:
-        p = i + odd / 2
-        if p < 20:
-            return p * log_y - y - math.lgamma(p + 1)
-        d = y - p
-        return p * math.log1p(d / p) - d - 0.5 * math.log(2 * math.pi * p) - _stirling_remainder(p)
-
-    peak = max(min(int(y - odd / 2), count - 1), 0)
-    floor = log_term(peak) - 50.0
-
-    def walk(i: int, step: int) -> Iterator[float]:
-        while 0 <= i < count:
-            log = log_term(i)
-            if log < floor:
-                return
-            yield math.exp(log)
-            i += step
-
-    return min(1.0, math.fsum(chain([head], walk(peak, 1), walk(peak - 1, -1))))
-
-
-def chi_square_uniformity(observed: Mapping[object, int], support_size: int) -> ChiSquareResult:
-    """Pearson goodness-of-fit of observed counts against the uniform law.
-
-    `observed` maps outcomes to counts; outcomes of the support that were
-    never seen may simply be absent.  `support_size` is the true number of
-    outcomes (e.g. a tutte_count), so the expected count per cell is
-    draws / support_size and the statistic sums over all cells, absent ones
-    contributing their full expectation.
-    """
-    if support_size < 2:
-        raise EmptySupportError(
-            f"support of size {support_size} leaves nothing to test"
-        )
-    if len(observed) > support_size:
-        raise EmptySupportError(
-            f"{len(observed)} distinct outcomes observed on a support of {support_size}"
-        )
-    draws = sum(observed.values())
-    if draws < 1 or any(c < 0 for c in observed.values()):
-        raise EmptySupportError("observed counts must be non-negative with positive total")
-    expected = draws / support_size
-    statistic = sum((c - expected) ** 2 / expected for c in observed.values())
-    statistic += (support_size - len(observed)) * expected
-    degrees = support_size - 1
-    return ChiSquareResult(statistic, degrees, _chi_square_p(statistic, degrees))
-
-
-def chi_square_homogeneity(
-    counts_a: Mapping[object, int], counts_b: Mapping[object, int]
-) -> ChiSquareResult:
-    """Two-sample chi-square test that both count maps draw from one law.
-
-    Standard contingency-table statistic over the union of observed outcomes,
-    with df = (number of outcomes - 1).
-    """
-    outcomes = set(counts_a) | set(counts_b)
-    total_a = sum(counts_a.values())
-    total_b = sum(counts_b.values())
-    if len(outcomes) < 2 or total_a < 1 or total_b < 1:
-        raise EmptySupportError("need two non-empty samples over at least two outcomes")
-    grand = total_a + total_b
-    statistic = 0.0
-    for outcome in outcomes:
-        combined = counts_a.get(outcome, 0) + counts_b.get(outcome, 0)
-        for total, counts in ((total_a, counts_a), (total_b, counts_b)):
-            expected = total * combined / grand
-            diff = counts.get(outcome, 0) - expected
-            statistic += diff * diff / expected
-    degrees = len(outcomes) - 1
-    return ChiSquareResult(statistic, degrees, _chi_square_p(statistic, degrees))

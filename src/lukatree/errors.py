@@ -9,7 +9,7 @@ The CLI maps LukatreeError to exit code 1 and leaves flag misuse to argparse
 __all__ = [
     "LukatreeError", "AlphabetError", "ArityMismatchError", "NotAValidWordError",
     "NotAPermutationError", "TupleNotValidError", "DomainTooSmallError",
-    "LimitExceededError", "EmptySupportError", "InfeasibleParityError",
+    "LimitExceededError", "InfeasibleParityError",
 ]
 
 
@@ -61,10 +61,6 @@ class DomainTooSmallError(LukatreeError):
 
 class LimitExceededError(LukatreeError):
     """Exhaustive enumeration was requested beyond the configured size cap."""
-
-
-class EmptySupportError(LukatreeError):
-    """A goodness-of-fit test needs a support of at least two outcomes."""
 
 
 # -- experiments -------------------------------------------------------------

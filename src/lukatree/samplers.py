@@ -54,28 +54,30 @@ METHODS = ("dichotomic", "permutation")
 
 
 class DiscreteWeights:
-    """Non-negative integer weights and their running total.
+    """Non-negative integer weights.
 
-    `cumulative` (k+1 entries from 0 to the total) is derived on each read;
-    the draw itself needs only the weights and the total, so `decrement(i)`
-    is O(1), which is what the letter-by-letter word sampler needs.
+    `total` and `cumulative` (k+1 entries from 0 to the total) are derived
+    on each read, so they follow any edit of the public `weights` list, and
+    `decrement(i)` is O(1).
     """
 
-    __slots__ = ("weights", "total")
+    __slots__ = ("weights",)
 
     def __init__(self, weights: Sequence[int]):
         ws = [int(w) for w in weights]
         if not ws or any(w < 0 for w in ws):
             raise DomainTooSmallError(f"weights must be non-empty and >= 0: {ws!r}")
-        total = sum(ws)
-        if total < 1:
+        if sum(ws) < 1:
             raise DomainTooSmallError("total weight must be at least 1")
         self.weights = ws
-        self.total = total
 
     @property
     def k(self) -> int:
         return len(self.weights)
+
+    @property
+    def total(self) -> int:
+        return sum(self.weights)
 
     @property
     def cumulative(self) -> list[int]:
@@ -95,7 +97,6 @@ class DiscreteWeights:
         if ws[index] < 1:
             raise DomainTooSmallError(f"weight {index} already exhausted")
         ws[index] -= 1
-        self.total -= 1
 
 
 def _draw(next_bit: Callable[[], int], weights: Sequence[int], total: int) -> int:
@@ -141,9 +142,11 @@ def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
     so the index and the bits read are the same.  Everything stays an exact
     integer, so no rounding ever happens.
     """
-    if weights.total < 1:
+    ws = weights.weights
+    total = sum(ws)
+    if total < 1:
         raise DomainTooSmallError("total weight must be at least 1")
-    return _draw(source.next_bit, weights.weights, weights.total)
+    return _draw(source.next_bit, ws, total)
 
 
 def tuple_to_valid_word(

@@ -6,15 +6,24 @@ string up to a depth, weight each completed run by 2^-bits, and obtain its
 output law as exact rationals up to a provable residual.  That turns
 "returns i with probability w_i / n" into a checkable statement about the
 code as written, independent of how the code arrives at it.
+
+ScriptedGenerator does the same for the numpy batch engine, which draws from
+a numpy Generator rather than from fair bits.  It stands in for the two
+generator calls the engine makes and feeds its n! rows every outcome of
+those calls exactly once, so the rows' word counts are the engine's law
+times n!, with no residual.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
 import pytest
 
 
@@ -73,6 +82,41 @@ def exact_distribution(
         assert source.bits_consumed == len(prefix)
         probs[outcome] = probs.get(outcome, Fraction(0)) + Fraction(1, 2 ** len(prefix))
     return probs, residual
+
+
+class ScriptedGenerator:
+    """numpy Generator stand-in that plays every outcome once, one per row.
+
+    It serves n! rows of n letters.  Row r's draw at position pos from
+    `integers(0, n - pos, size=n!)` is digit pos of r in the mixed radix
+    whose base at position pos is n - pos, so the rows run through every
+    sequence of draws once.  `permuted(words, axis=1, out=words)` writes
+    permutation r of the (common) base row into row r.  Each call asserts
+    that it was asked for exactly that; any other generator method is
+    undefined and raises AttributeError.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.reps = math.factorial(n)
+        self.rows = np.arange(self.reps, dtype=np.int64)
+        self.place = 1  # product of the bases of the positions drawn so far
+        self.pos = 0
+
+    def integers(self, low, high, size):
+        base = self.n - self.pos
+        assert (low, high, size) == (0, base, self.reps), (low, high, size)
+        digits = self.rows // self.place % base
+        self.place *= base
+        self.pos += 1
+        return digits
+
+    def permuted(self, words, axis, out):
+        assert axis == 1 and out is words
+        assert words.shape == (self.reps, self.n)
+        assert (words == words[0]).all(), "permuted expects one base row, tiled"
+        words[:] = words[0][np.array(list(permutations(range(self.n))))]
+        return words
 
 
 @pytest.fixture

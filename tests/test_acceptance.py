@@ -16,14 +16,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import exact_distribution
 from lukatree import (
     BitSource,
     Classification,
     DegreeTuple,
     HeightScanConfig,
     binary_alphabet,
-    chi_square_homogeneity,
-    chi_square_uniformity,
     classify,
     degree_census,
     enumerate_lukasiewicz,
@@ -142,35 +141,34 @@ def test_criterion_3_classical_sequences():
 
 
 def test_criterion_4_both_pipelines_uniform():
+    # exact laws from every bit string to a depth: the dichotomic masses lie
+    # within the unresolved residual of 1/10; the permutation masses are
+    # equal at every depth, because uniform_int's rejections ignore the value
     t = DegreeTuple((3, 1, 2))
-    support = tutte_count(t, MOTZKIN)
-    draws = 50_000
-    counts = {}
-    for method in ("dichotomic", "permutation"):
-        source = BitSource(20_240_817)
-        tally = {}
-        for _ in range(draws):
-            word = tuple(sample_lukasiewicz_word(source, t, MOTZKIN, method))
-            tally[word] = tally.get(word, 0) + 1
-        counts[method] = tally
-    p_dicho = chi_square_uniformity(counts["dichotomic"], support).p_value
-    p_perm = chi_square_uniformity(counts["permutation"], support).p_value
-    p_homog = chi_square_homogeneity(
-        counts["dichotomic"], counts["permutation"]
-    ).p_value
+    support = {tuple(w) for w in enumerate_lukasiewicz(t, MOTZKIN)}
+    laws = {
+        method: exact_distribution(
+            lambda src: tuple(sample_lukasiewicz_word(src, t, MOTZKIN, method)),
+            max_depth=depth,
+        )
+        for method, depth in (("dichotomic", 30), ("permutation", 14))
+    }
+    dicho, dicho_residual = laws["dichotomic"]
+    perm, perm_residual = laws["permutation"]
     ok = (
-        len(counts["dichotomic"]) == support
-        and len(counts["permutation"]) == support
-        and p_dicho > 0.001
-        and p_perm > 0.001
-        and p_homog > 0.001
+        len(support) == tutte_count(t, MOTZKIN) == 10
+        and set(dicho) == set(perm) == support
+        and dicho_residual < Fraction(1, 10**5)
+        and all(abs(p - Fraction(1, 10)) <= dicho_residual for p in dicho.values())
+        and len(set(perm.values())) == 1
     )
     report(
         4,
         "dichotomic and permutation pipelines are uniform and agree",
         ok,
-        f"{draws} draws each on (3,1,2), p = {p_dicho:.3f} / {p_perm:.3f}, "
-        f"homogeneity p = {p_homog:.3f}",
+        f"exact laws on (3,1,2): dichotomic all 10 trees within a residual of "
+        f"{float(dicho_residual):.1e} of 1/10 (depth 30); permutation 10 equal "
+        f"masses, residual {float(perm_residual):.2f} (depth 14)",
     )
 
 

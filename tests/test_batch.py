@@ -1,18 +1,23 @@
+import math
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from conftest import ScriptedGenerator, exact_distribution
 from lukatree import (
+    METHODS,
     Classification,
-    DegreeTuple,
     TreeAlphabet,
-    chi_square_homogeneity,
-    chi_square_uniformity,
     classify,
     enumerate_lukasiewicz,
+    enumerate_valid_words,
     height,
     motzkin_tuple,
+    parse_alphabet,
+    sample_lukasiewicz_word,
     to_lukasiewicz,
-    tutte_count,
     word_to_tree,
 )
 from lukatree.batch import batch_heights, batch_rotate, batch_valid_words
@@ -100,47 +105,57 @@ def test_height_edge_rows(motzkin):
     assert rows_to_heights(combs, motzkin) == [200, 200]
 
 
+def scripted_rows(counts, method):
+    """batch_valid_words over every outcome of its generator calls: n! rows."""
+    rng = ScriptedGenerator(sum(counts))
+    return batch_valid_words(rng, counts, rng.reps, method)
+
+
+def tally(rows):
+    return Counter(map(tuple, rows.tolist()))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "alphabet,counts",
+    [
+        ("a:-1,b:0,c:1", (2, 1, 1)),
+        ("a:-1,b:0,c:1", (3, 1, 2)),
+        ("a:-1,b:0,c:1,d:2", (4, 1, 1, 1)),
+        ("a:-1,b:0,c:1,d:2", (4, 0, 1, 1)),
+    ],
+    ids=["motzkin-211", "motzkin-312", "abcd-4111", "abcd-4011"],
+)
+def test_batch_law_is_exact(alphabet, counts, method):
+    # the n! rows see every outcome of the generator calls once, so a uniform
+    # law puts each valid word on exactly prod n_i! rows, and after rotation
+    # each Lukasiewicz word on n times as many
+    alphabet = parse_alphabet(alphabet)
+    repeats = math.prod(map(math.factorial, counts))
+    words = scripted_rows(counts, method)
+    support = enumerate_valid_words(counts, alphabet)
+    assert tally(words) == Counter(dict.fromkeys(support, repeats))
+    rotated = batch_rotate(words, alphabet.degrees)
+    lukas = map(tuple, enumerate_lukasiewicz(counts, alphabet))
+    assert tally(rotated) == Counter(dict.fromkeys(lukas, sum(counts) * repeats))
+    assert batch_heights(rotated, alphabet.degrees).tolist() == rows_to_heights(rotated, alphabet)
+
+
 def test_batch_law_agrees_with_scalar_pipelines(motzkin):
-    # both engines must put the same uniform law on Lukasiewicz words
-    from lukatree import BitSource, sample_lukasiewicz_word
-
-    t = DegreeTuple((2, 1, 1))
-    support = tutte_count(t, motzkin)
-
-    rng = np.random.default_rng(5)
-    rotated = batch_rotate(batch_valid_words(rng, t.counts, 5000), motzkin.degrees)
-    batch_counts = {}
-    for row in rotated:
-        key = tuple(int(x) for x in row)
-        batch_counts[key] = batch_counts.get(key, 0) + 1
-
-    source = BitSource(5)
-    scalar_counts = {}
-    for _ in range(5000):
-        key = tuple(sample_lukasiewicz_word(source, t, motzkin))
-        scalar_counts[key] = scalar_counts.get(key, 0) + 1
-
-    assert set(batch_counts) == set(scalar_counts)
-    assert chi_square_uniformity(batch_counts, support).p_value > 0.001
-    assert chi_square_homogeneity(batch_counts, scalar_counts).p_value > 0.001
-
-
-def test_batch_methods_agree_in_law(motzkin):
-    t = DegreeTuple((3, 1, 2))
-    support = tutte_count(t, motzkin)
-    samples = {}
-    for method in ("dichotomic", "permutation"):
-        rng = np.random.default_rng(17)
-        rotated = batch_rotate(
-            batch_valid_words(rng, t.counts, 8000, method), motzkin.degrees
+    # the batch engine's law, exact from its n! scripted rows, is the scalar
+    # pipelines' law, exact up to the oracle's residual
+    t = (2, 1, 1)
+    reps = math.factorial(sum(t))
+    for method in METHODS:
+        rows = tally(batch_rotate(scripted_rows(t, method), motzkin.degrees))
+        scalar, residual = exact_distribution(
+            lambda src: tuple(sample_lukasiewicz_word(src, t, motzkin, method)),
+            max_depth=30,
         )
-        counts = {}
-        for row in rotated:
-            key = tuple(int(x) for x in row)
-            counts[key] = counts.get(key, 0) + 1
-        assert chi_square_uniformity(counts, support).p_value > 0.001
-        samples[method] = counts
-    assert chi_square_homogeneity(*samples.values()).p_value > 0.001
+        assert residual < Fraction(1, 10**6)
+        assert set(rows) == set(scalar)
+        for word, mass in scalar.items():
+            assert abs(Fraction(rows[word], reps) - mass) <= residual
 
 
 # Rows of batch_valid_words(default_rng(1), (9, 3, 2, 2), 6, method), one

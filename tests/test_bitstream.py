@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import exact_distribution
 
-from lukatree import BitSource, DomainTooSmallError, chi_square_uniformity, fisher_yates, uniform_int
+from lukatree import BitSource, DomainTooSmallError, fisher_yates, uniform_int
 
 
 def test_determinism_and_bit_values():
@@ -150,16 +150,14 @@ def test_fisher_yates_basics():
         fisher_yates(source, 0)
 
 
-def test_fisher_yates_uniform_over_s3():
-    source = BitSource(424242)
-    counts = {}
-    for _ in range(60_000):
-        key = tuple(fisher_yates(source, 3))
-        counts[key] = counts.get(key, 0) + 1
-    assert set(counts) == set(itertools.permutations((1, 2, 3)))
-    result = chi_square_uniformity(counts, 6)
-    assert result.degrees == 5
-    assert result.p_value > 0.001
+@pytest.mark.parametrize("n", [3, 4])
+def test_fisher_yates_law_is_exact(n):
+    # uniform_int accepts or rejects a block without regard to its value, so
+    # the n! masses are equal at every depth, not only in the limit
+    probs, residual = exact_distribution(lambda src: tuple(fisher_yates(src, n)), max_depth=14)
+    assert set(probs) == set(itertools.permutations(range(1, n + 1)))
+    assert len(set(probs.values())) == 1
+    assert residual < Fraction(1, 1000)
 
 
 def test_fisher_yates_mean_bits_n4():

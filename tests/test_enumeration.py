@@ -5,18 +5,14 @@ import pytest
 from lukatree import (
     Classification,
     DegreeTuple,
-    EmptySupportError,
     LimitExceededError,
     TupleNotValidError,
-    chi_square_homogeneity,
-    chi_square_uniformity,
     classify,
     enumerate_lukasiewicz,
     enumerate_valid_words,
     tutte_count,
     valid_word_count,
 )
-from lukatree.enumeration import _chi_square_p
 
 MOTZKIN_NUMBERS = (1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798)  # n = 1..12
 CATALAN_NUMBERS = (1, 1, 2, 5, 14, 42, 132)  # binary internal nodes b = 0..6
@@ -113,136 +109,3 @@ def test_catalan_sequence(binary):
         assert tutte_count(t, binary) == expected
         assert math.comb(2 * b, b) // (b + 1) == expected
         assert len(enumerate_lukasiewicz(t, binary, limit=13)) == expected
-
-
-def test_chi_square_frozen_statistic():
-    # all mass on one of ten cells after 1000 draws
-    result = chi_square_uniformity({"x": 1000}, 10)
-    assert result.statistic == pytest.approx(9000.0)
-    assert result.degrees == 9
-    assert result.p_value < 1e-100
-
-
-def test_chi_square_perfectly_uniform():
-    result = chi_square_uniformity({i: 25 for i in range(8)}, 8)
-    assert result.statistic == 0.0
-    assert result.p_value == pytest.approx(1.0)
-
-
-def test_chi_square_even_df_closed_form():
-    # for df = 2m the upper tail is exp(-x/2) * sum_{j<m} (x/2)^j / j!
-    cases = [
-        ({"a": 30, "b": 30, "c": 60}, 3, 15.0, 2),
-        ({"a": 10, "b": 20, "c": 30, "d": 20, "e": 20}, 5, 10.0, 4),
-    ]
-    for observed, support, stat, df in cases:
-        result = chi_square_uniformity(observed, support)
-        assert result.statistic == pytest.approx(stat)
-        assert result.degrees == df
-        m = df // 2
-        half = stat / 2.0
-        closed = math.exp(-half) * sum(half**j / math.factorial(j) for j in range(m))
-        assert result.p_value == pytest.approx(closed, rel=1e-10)
-
-
-def test_chi_square_odd_df_closed_form():
-    # df = 1: erfc(sqrt(x/2)); df = 3: erfc(sqrt y) + 2 sqrt(y/pi) e^-y, y = x/2
-    def df1(x):
-        return math.erfc(math.sqrt(x / 2.0))
-
-    def df3(x):
-        y = x / 2.0
-        return math.erfc(math.sqrt(y)) + 2.0 * math.sqrt(y / math.pi) * math.exp(-y)
-
-    cases = [
-        ({"a": 30, "b": 10}, 2, 10.0, 1, df1),
-        ({"a": 10, "b": 20, "c": 30, "d": 20}, 4, 10.0, 3, df3),
-    ]
-    for observed, support, stat, df, closed in cases:
-        result = chi_square_uniformity(observed, support)
-        assert result.statistic == pytest.approx(stat)
-        assert result.degrees == df
-        assert result.p_value == pytest.approx(closed(result.statistic), rel=1e-10)
-    for x in (1e-6, 0.3, 1.0, 2.5, 7.0, 30.0, 120.0):
-        assert _chi_square_p(x, 1) == pytest.approx(df1(x), rel=1e-10)
-        assert _chi_square_p(x, 3) == pytest.approx(df3(x), rel=1e-10)
-    # a statistic of 0 gives exactly 1, for odd and even df alike
-    odd = chi_square_uniformity({i: 25 for i in range(8)}, 8)
-    even = chi_square_uniformity({i: 5 for i in range(3)}, 3)
-    assert (odd.degrees, even.degrees) == (7, 2)
-    assert odd.statistic == even.statistic == 0.0
-    assert odd.p_value == 1.0 and even.p_value == 1.0
-
-
-def test_chi_square_tail_matches_scipy():
-    gammaincc = pytest.importorskip("scipy.special").gammaincc
-    for df in (1, 2, 3, 4, 5, 9, 10, 99, 100, 1000, 4999, 5000):
-        top = 3 * df + 50
-        for step in range(201):
-            x = top * step / 200
-            reference = float(gammaincc(df / 2.0, x / 2.0))
-            if reference > 1e-300:
-                assert _chi_square_p(x, df) == pytest.approx(reference, rel=1e-10), (df, x)
-    # around the mean of a huge df, where each term's log is a difference of
-    # numbers near 10**8 unless it is taken in Stirling's form
-    for df in (10**6, 10**7):
-        for x in (0.99 * df, df, 1.01 * df):
-            reference = float(gammaincc(df / 2.0, x / 2.0))
-            assert _chi_square_p(x, df) == pytest.approx(reference, rel=1e-10), (df, x)
-
-
-def test_chi_square_tail_on_a_huge_support():
-    # df/2 = 5e8 closed-form terms; all but a few dozen are far below the
-    # peak (and underflow), so the walk from the peak must stop early
-    result = chi_square_uniformity({0: 3, 1: 2}, 10**9)
-    assert result.degrees == 10**9 - 1
-    assert result.p_value == 0.0
-    # a statistic at its mean keeps the tail near one half (median < mean)
-    assert 0.49 < _chi_square_p(10.0**9, 10**9) < 0.5
-
-
-def test_chi_square_absent_cells_count():
-    # 3 of 5 outcomes seen; the two absent cells contribute their expectation
-    result = chi_square_uniformity({0: 10, 1: 10, 2: 30}, 5)
-    expected = 50 / 5
-    by_hand = 2 * (10 - expected) ** 2 / expected + (30 - expected) ** 2 / expected
-    by_hand += 2 * expected
-    assert result.statistic == pytest.approx(by_hand)
-
-
-def test_chi_square_input_validation():
-    with pytest.raises(EmptySupportError):
-        chi_square_uniformity({0: 5}, 1)
-    with pytest.raises(EmptySupportError):
-        chi_square_uniformity({0: 1, 1: 1, 2: 1}, 2)
-    with pytest.raises(EmptySupportError):
-        chi_square_uniformity({}, 4)
-    with pytest.raises(EmptySupportError):
-        chi_square_uniformity({0: 3, 1: -1}, 4)
-
-
-def test_homogeneity_identical_samples():
-    counts = {0: 40, 1: 35, 2: 25}
-    result = chi_square_homogeneity(counts, dict(counts))
-    assert result.statistic == pytest.approx(0.0)
-    assert result.degrees == 2
-    assert result.p_value == pytest.approx(1.0)
-
-
-def test_homogeneity_hand_computed():
-    result = chi_square_homogeneity({0: 10, 1: 20}, {0: 20, 1: 10})
-    assert result.statistic == pytest.approx(20 / 3)
-    assert result.degrees == 1
-    assert 0.0 < result.p_value < 0.05
-
-
-def test_homogeneity_detects_disjoint_supports():
-    result = chi_square_homogeneity({0: 50}, {1: 50})
-    assert result.p_value < 1e-10
-
-
-def test_homogeneity_input_validation():
-    with pytest.raises(EmptySupportError):
-        chi_square_homogeneity({0: 5}, {0: 7})
-    with pytest.raises(EmptySupportError):
-        chi_square_homogeneity({}, {0: 1, 1: 1})

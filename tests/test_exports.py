@@ -37,3 +37,18 @@ def test_package_reexports_are_declared_public():
             if alias.name not in getattr(module, "__all__", ()):
                 undeclared.append(f"{node.module}.{alias.name}")
     assert undeclared == []
+
+
+def test_every_domain_error_is_raised():
+    # an exception class that nothing raises is a dead export
+    from lukatree import errors
+
+    raised = set()
+    for path in Path(lukatree.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    unused = [name for name in errors.__all__ if name != "LukatreeError" and name not in raised]
+    assert unused == []

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from conftest import exact_distribution
 from lukatree import (
+    METHODS,
     BitSource,
     DegreeTuple,
     DiscreteWeights,
     DomainTooSmallError,
     TupleNotValidError,
-    chi_square_homogeneity,
-    chi_square_uniformity,
     degree_census,
     dichotomic_draw,
+    enumerate_lukasiewicz,
     enumerate_valid_words,
     mean_cost_closed_form,
     parse_alphabet,
@@ -24,7 +24,6 @@ from lukatree import (
     sample_tree,
     serialize,
     tuple_to_valid_word,
-    tutte_count,
 )
 
 
@@ -35,6 +34,14 @@ def test_discrete_weights_basics():
     w.decrement(0)
     assert w.weights == [2, 0, 2]
     assert w.cumulative == [0, 2, 2, 4]
+
+
+def test_total_follows_an_edit_of_the_weights():
+    w = DiscreteWeights((1, 1))
+    w.weights[1] = 0
+    source = BitSource(0)
+    assert [dichotomic_draw(source, w) for _ in range(64)] == [0] * 64
+    assert w.total == 1
 
 
 def test_discrete_weights_validation():
@@ -188,23 +195,18 @@ def test_three_way_even_split_mean_cost():
     assert abs(source.bits_consumed / draws - 3.0) < 0.03
 
 
-def test_tuple_to_valid_word_law_is_exact(binary):
-    probs, residual = exact_distribution(
-        lambda src: tuple_to_valid_word(src, (2, 1), binary), max_depth=40
-    )
-    assert residual < Fraction(1, 10**6)
-    support = set(enumerate_valid_words((2, 1), binary))
-    assert set(probs) == support
-    for word in support:
-        assert abs(probs[word] - Fraction(1, 3)) <= residual
-
-
 @pytest.mark.parametrize(
     "alphabet,t",
-    [("a:-1,b:0,c:1", (2, 0, 1)), ("a:-1,b:0,c:1,d:2", (3, 0, 0, 1))],
+    [
+        ("a:-1,c:1", (2, 1)),
+        ("a:-1,b:0,c:1", (2, 1, 1)),
+        # a zero count leaves an empty segment the draw has to step over
+        ("a:-1,b:0,c:1", (2, 0, 1)),
+        ("a:-1,b:0,c:1,d:2", (3, 0, 0, 1)),
+    ],
+    ids=["binary-21", "motzkin-211", "motzkin-201", "abcd-3001"],
 )
-def test_tuple_to_valid_word_law_is_exact_with_empty_segments(alphabet, t):
-    # a zero count leaves an empty segment the draw has to step over
+def test_tuple_to_valid_word_law_is_exact(alphabet, t):
     alphabet = parse_alphabet(alphabet)
     probs, residual = exact_distribution(
         lambda src: tuple_to_valid_word(src, t, alphabet), max_depth=40
@@ -214,19 +216,6 @@ def test_tuple_to_valid_word_law_is_exact_with_empty_segments(alphabet, t):
     assert set(probs) == support
     for word in support:
         assert abs(probs[word] - Fraction(1, len(support))) <= residual
-
-
-def test_tuple_to_valid_word_uniformity(motzkin):
-    source = BitSource(77)
-    t = DegreeTuple((2, 1, 1))
-    counts = {}
-    for _ in range(30_000):
-        word = tuple_to_valid_word(source, t, motzkin)
-        counts[word] = counts.get(word, 0) + 1
-    support = enumerate_valid_words(t, motzkin)
-    assert set(counts) == set(support)
-    result = chi_square_uniformity(counts, len(support))
-    assert result.p_value > 0.001
 
 
 def test_word_sampler_bit_budget(motzkin):
@@ -273,20 +262,21 @@ def test_both_pipelines_check_the_tuple_before_drawing(motzkin, t):
 
 
 def test_pipelines_agree_in_law(motzkin):
-    t = DegreeTuple((2, 1, 1))
-    support = tutte_count(t, motzkin)
-    samples = {}
-    for method in ("dichotomic", "permutation"):
-        source = BitSource(2718)
-        counts = {}
-        for _ in range(6000):
-            word = tuple(sample_lukasiewicz_word(source, t, motzkin, method=method))
-            counts[word] = counts.get(word, 0) + 1
-        assert len(counts) == support
-        assert chi_square_uniformity(counts, support).p_value > 0.001
-        samples[method] = counts
-    result = chi_square_homogeneity(samples["dichotomic"], samples["permutation"])
-    assert result.p_value > 0.001
+    # both laws are exactly uniform on the 3 trees: the permutation pipeline's
+    # masses are equal at every depth, the dichotomic one's up to the residual
+    t = (2, 1, 1)
+    support = {tuple(w) for w in enumerate_lukasiewicz(t, motzkin)}
+    for method in METHODS:
+        probs, residual = exact_distribution(
+            lambda src: tuple(sample_lukasiewicz_word(src, t, motzkin, method)),
+            max_depth=30,
+        )
+        assert residual < Fraction(1, 10**6)
+        assert set(probs) == support
+        for mass in probs.values():
+            assert abs(mass - Fraction(1, len(support))) <= residual
+        if method == "permutation":
+            assert len(set(probs.values())) == 1
 
 
 def test_mean_cost_closed_form_values():
