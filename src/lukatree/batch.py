@@ -18,12 +18,19 @@ all rows at once; :func:`lukatree.experiments.run_height_scan` measures the
 scalar engine's trees with it too, so the package has one height recurrence.
 Rotation and heights are cross-checked against the scalar code in the tests,
 word for word.
+
+All three functions run position by position: a Python loop over the n
+letter positions, each step a few numpy calls on contiguous length-reps
+rows, one entry per replicate.  They hold the words position-major, as an
+(n, reps) int8 array whose row pos is letter pos of every replicate, and
+hand them out as its (reps, n) transposed view, so word r is still row r.
+Nothing else of n x reps size is built: the lattice paths are never stored,
+only each replicate's current level.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "batch_valid_words",
@@ -38,7 +45,16 @@ def batch_valid_words(
     reps: int,
     method: str = "dichotomic",
 ) -> np.ndarray:
-    """reps uniform valid words of the multiset `counts`, one per row (int8)."""
+    """reps uniform valid words of the multiset `counts`, one per row (int8).
+
+    The dichotomic method draws letter pos of every row at once, from one
+    `rng.integers(0, n - pos, size=reps)` call per position, and returns the
+    transposed view of a position-major (n, reps) array; the permutation
+    method shuffles a C-ordered (reps, n) array in place.
+    """
+    for letter, count in enumerate(counts):
+        if count < 0:
+            raise ValueError(f"letter {letter} has negative count {count}")
     k = len(counts)
     n = sum(counts)
     if n < 1 or k > 127:
@@ -50,29 +66,51 @@ def batch_valid_words(
         return words
     if method != "dichotomic":
         raise ValueError(f"unknown method {method!r}")
-    # bounds[r, j] = letters 0..j still to place in row r; the letter drawn
-    # is the number of these interior boundaries at or below v
-    bounds = np.tile(np.cumsum(counts[:-1], dtype=np.int64), (reps, 1))
-    words = np.empty((reps, n), dtype=np.int8)
+    # bounds[j, r] = letters 0..j still to place in row r.  The letter drawn
+    # is the number of these interior boundaries at or below v, that is k-1
+    # minus the number above it; each boundary above v drops by one.
+    bounds = np.repeat(np.cumsum(counts[:-1], dtype=np.int64)[:, None], reps, axis=1)
+    below = np.empty(bounds.shape, dtype=bool)
+    words = np.empty((n, reps), dtype=np.int8)
     for pos in range(n):
         v = rng.integers(0, n - pos, size=reps)
-        above = v[:, None] >= bounds
-        words[:, pos] = above.sum(axis=1)
-        bounds -= ~above  # one fewer of the drawn letter: later boundaries drop
-    return words
+        np.less(v, bounds, out=below)
+        np.add.reduce(below, axis=0, dtype=np.int8, out=words[pos])
+        bounds -= below
+    np.subtract(k - 1, words, out=words)
+    return words.T
 
 
 def batch_rotate(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
-    """Rotate each row just past the first minimum of its path (cycle lemma)."""
+    """Rotate each row just past the first minimum of its path (cycle lemma).
+
+    The path is walked one position at a time and never stored.  The result
+    is the transposed view of a position-major (n, reps) array, like the
+    dichotomic words; a row-major input is transposed into that layout first.
+    """
     reps, n = words.shape
-    path = np.asarray(degrees, dtype=np.int32)[words]
-    np.cumsum(path, axis=1, out=path)
-    ell = np.argmin(path, axis=1) + 1  # first minimum
-    del path
-    # row r's rotation is the window of length n at ell[r] in the row written
-    # twice; ell = n picks the second copy, which is the row itself
-    windows = sliding_window_view(np.concatenate((words, words), axis=1), n, axis=1)
-    return windows[np.arange(reps), ell]
+    wT = np.ascontiguousarray(words.T)
+    # key = level * 2^32 + (pos + 1) after the step at pos, so the running
+    # minimum of the key is the lowest level, first reached at the smallest
+    # pos, and its low 32 bits are that pos + 1.  Levels stay within +-n for
+    # the words of a tree census and must fit in int32.
+    lut = np.asarray(degrees, dtype=np.int64) << 32
+    lut += 1
+    key = np.zeros(reps, dtype=np.int64)
+    low = np.full(reps, np.iinfo(np.int64).max)
+    for pos in range(n):
+        key += lut.take(wT[pos])
+        np.minimum(low, key, out=low)
+    # letter pos of the rotation is letter (ell + pos) mod n of the word, and
+    # take's wrap mode reduces the flat index modulo n * reps
+    at = (low & 0xFFFFFFFF) * reps
+    at += np.arange(reps)
+    flat = wT.reshape(-1)
+    out = np.empty((n, reps), dtype=words.dtype)
+    for pos in range(n):
+        flat.take(at, out=out[pos], mode="wrap")
+        at += reps
+    return out.T
 
 
 def batch_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
@@ -82,26 +120,32 @@ def batch_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     the height process of the path S_j = degree sum of the first j letters.
     No degree is below -1, so a leaf at level S_m closes exactly the open
     nodes opened at that level; a per-row count of open nodes by level is
-    all the state needed, for arities of any size.
+    all the state needed, for arities of any size.  Like batch_rotate, the
+    rows are walked one position at a time: a first pass finds the highest
+    level, which sizes the counts, and a second runs the recurrence.  Depths
+    and counts are int32, so n must be below 2^31.
     """
     reps, n = words.shape
-    path = np.asarray(degrees, dtype=np.int32)[np.ascontiguousarray(words.T)]
-    grow = path >= 0  # (n, reps): the letter at this position opens a node
-    np.cumsum(path, axis=0, out=path)  # path[pos] = level after the step at pos
-    width = int(path.max(initial=0)) + 1
+    wT = np.ascontiguousarray(words.T)
+    lut = np.asarray(degrees, dtype=np.intp)
+    level = np.zeros(reps, dtype=np.intp)
+    top = np.zeros(reps, dtype=np.intp)
+    for pos in range(n):
+        level += lut.take(wT[pos])
+        np.maximum(top, level, out=top)
+    width = int(top.max(initial=0)) + 1
     opened = np.zeros(reps * width, dtype=np.int32)  # open nodes by (row, level)
-    base = np.arange(reps) * width
-    cell = base.copy()  # flat index of (row, level before the step); S_0 = 0
+    cell = np.arange(reps) * width  # flat index of (row, level before the step); S_0 = 0
     depth = np.zeros(reps, dtype=np.int32)
     best = np.zeros(reps, dtype=np.int32)
     for pos in range(n):
+        step = lut.take(wT[pos])
         np.maximum(best, depth, out=best)
-        here = opened[cell]
+        here = opened.take(cell)
         now = here + 1
-        now *= grow[pos]  # a node opens here (+1), or a leaf closes all of them
+        now *= step >= 0  # a node opens here (+1), or a leaf closes all of them
         depth += now
         depth -= here
         opened[cell] = now
-        np.add(base, path[pos], out=cell)
+        cell += step
     return best
-

@@ -133,7 +133,7 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
         if not 0.0 <= fraction < 1.0:  # also false for NaN
             raise LukatreeError(f"unary fraction {fraction!r} is not in [0, 1)")
     if cfg.n >= 2**31:
-        # batch_heights keeps the lattice paths in int32
+        # the batch engine keeps levels and heights in int32
         raise LukatreeError(f"tree size {cfg.n} is not below 2^31")
     if cfg.engine not in ("batch", "scalar"):
         raise LukatreeError(f"unknown engine {cfg.engine!r}")

@@ -84,6 +84,46 @@ def exact_distribution(
     return probs, residual
 
 
+def motzkin_height_law(u: int, c: int) -> dict[int, Fraction]:
+    """Exact law of the height of a uniform Motzkin tree with u unary and c binary nodes.
+
+    M_h[a][b] counts the trees of height at most h with a unary and b binary
+    nodes (and b + 1 leaves): M_0 is the lone leaf, and a tree of height at
+    most h + 1 is a leaf, a unary root over a tree of M_h, or a binary root
+    over an ordered pair of them.  Truncating every polynomial at degree u
+    in a and c in b keeps each step exact for the coefficient wanted, and
+    P(H <= h) = M_h[u][c] / M_{n-1}[u][c], n = u + 2c + 1 being the tree size.
+    """
+    def leaf():
+        return [[int(a == b == 0) for b in range(c + 1)] for a in range(u + 1)]
+
+    n = u + 2 * c + 1
+    counts = leaf()
+    at_most = [counts[u][c]]
+    for _ in range(n - 1):
+        prev = counts
+        counts = leaf()
+        for a in range(u + 1):
+            for b in range(c + 1):
+                if a:
+                    counts[a][b] += prev[a - 1][b]
+                if b:
+                    counts[a][b] += sum(
+                        prev[a1][b1] * prev[a - a1][b - 1 - b1]
+                        for a1 in range(a + 1)
+                        for b1 in range(b)
+                    )
+        at_most.append(counts[u][c])
+    total = at_most[-1]
+    law = {}
+    below = 0
+    for h, count in enumerate(at_most):
+        if count > below:
+            law[h] = Fraction(count - below, total)
+        below = count
+    return law
+
+
 class ScriptedGenerator:
     """numpy Generator stand-in that plays every outcome once, one per row.
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import ScriptedGenerator, exact_distribution
 from lukatree import (
@@ -14,7 +16,9 @@ from lukatree import (
     enumerate_lukasiewicz,
     enumerate_valid_words,
     height,
+    motzkin_alphabet,
     motzkin_tuple,
+    nearest_feasible_unary,
     parse_alphabet,
     sample_lukasiewicz_word,
     to_lukasiewicz,
@@ -43,6 +47,127 @@ def test_batch_valid_words_rejects_junk():
         batch_valid_words(rng, (2, 1), 5, "bogus")
     with pytest.raises(ValueError):
         batch_valid_words(rng, (0, 0), 5)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("counts", [(2, -1), (3, -1, 1), (-1, 0, 2)], ids=str)
+def test_batch_valid_words_rejects_negative_counts(counts, method):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    letter = min(i for i, c in enumerate(counts) if c < 0)
+    with pytest.raises(ValueError, match=f"letter {letter} has negative count -1$"):
+        batch_valid_words(rng, counts, 3, method)
+    assert rng.bit_generator.state == state
+
+
+def _reference_valid_words(rng, counts, reps, method="dichotomic"):
+    """batch_valid_words as first written: row-major, one column per position.
+
+    Kept as a test oracle for the position-major loop, which must make the
+    same generator calls and return the same words.
+    """
+    k = len(counts)
+    n = sum(counts)
+    if method == "permutation":
+        base = np.repeat(np.arange(k, dtype=np.int8), counts)
+        words = np.tile(base, (reps, 1))
+        rng.permuted(words, axis=1, out=words)
+        return words
+    bounds = np.tile(np.cumsum(counts[:-1], dtype=np.int64), (reps, 1))
+    words = np.empty((reps, n), dtype=np.int8)
+    for pos in range(n):
+        v = rng.integers(0, n - pos, size=reps)
+        above = v[:, None] >= bounds
+        words[:, pos] = above.sum(axis=1)
+        bounds -= ~above
+    return words
+
+
+def _reference_rotate(words, degrees):
+    """batch_rotate as first written: argmin of the cumsummed int32 path."""
+    reps, n = words.shape
+    path = np.asarray(degrees, dtype=np.int32)[words]
+    np.cumsum(path, axis=1, out=path)
+    ell = np.argmin(path, axis=1) + 1
+    windows = sliding_window_view(np.concatenate((words, words), axis=1), n, axis=1)
+    return windows[np.arange(reps), ell]
+
+
+def _reference_heights(words, degrees):
+    """batch_heights as first written: the whole (n, reps) path up front."""
+    reps, n = words.shape
+    path = np.asarray(degrees, dtype=np.int32)[np.ascontiguousarray(words.T)]
+    grow = path >= 0
+    np.cumsum(path, axis=0, out=path)
+    width = int(path.max(initial=0)) + 1
+    opened = np.zeros(reps * width, dtype=np.int32)
+    base = np.arange(reps) * width
+    cell = base.copy()
+    depth = np.zeros(reps, dtype=np.int32)
+    best = np.zeros(reps, dtype=np.int32)
+    for pos in range(n):
+        np.maximum(best, depth, out=best)
+        here = opened[cell]
+        now = here + 1
+        now *= grow[pos]
+        depth += now
+        depth -= here
+        opened[cell] = now
+        np.add(base, path[pos], out=cell)
+    return best
+
+
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "every-other-row": lambda words: words[::2],
+}
+
+
+@pytest.mark.parametrize("reps", [0, 1, 5, 2049])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "alphabet,counts",
+    [
+        ("a:-1,b:0,c:1", (3, 1, 2)),
+        ("a:-1,b:0,c:1", (12, 7, 11)),
+        ("a:-1,b:0,c:1", (2, 0, 1)),
+        ("a:-1", (1,)),
+        ("a:-1,b:0,c:1,d:2,e:4", (16, 4, 3, 2, 2)),
+    ],
+    ids=["motzkin-312", "motzkin-30", "motzkin-201", "leaf", "abcde"],
+)
+def test_engine_matches_the_row_major_reference(alphabet, counts, method, reps):
+    degrees = parse_alphabet(alphabet).degrees
+    words = batch_valid_words(np.random.default_rng(reps), counts, reps, method)
+    want = _reference_valid_words(np.random.default_rng(reps), counts, reps, method)
+    assert words.dtype == np.int8 and words.shape == (reps, sum(counts))
+    assert np.array_equal(words, want)
+    rotated = _reference_rotate(want, degrees)
+    for name, layout in LAYOUTS.items():
+        got = batch_rotate(layout(words), degrees)
+        assert got.dtype == np.int8, name
+        assert np.array_equal(got, _reference_rotate(layout(want), degrees)), name
+        heights = batch_heights(layout(rotated), degrees)
+        assert heights.dtype == np.int32, name
+        assert np.array_equal(heights, _reference_heights(layout(rotated), degrees)), name
+
+
+def test_one_chunk_stays_small():
+    # words, rotation and heights of one height-scan chunk at n = 1000: the
+    # int8 words and their rotation are 2 MB each, and no (n, reps) array
+    # wider than int8 may come back
+    counts = motzkin_tuple(1000, nearest_feasible_unary(1000, 900)).counts
+    degrees = motzkin_alphabet().degrees
+    rng = np.random.default_rng(9)
+    tracemalloc.start()
+    try:
+        words = batch_valid_words(rng, counts, 2048)
+        batch_heights(batch_rotate(words, degrees), degrees)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_rotation_matches_scalar_reference(motzkin):

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from conftest import motzkin_height_law
 from lukatree import batch, experiments
 from lukatree import (
     BITCOST_COLUMNS,
@@ -12,12 +15,15 @@ from lukatree import (
     InfeasibleParityError,
     LukatreeError,
     bitcost_csv,
+    enumerate_lukasiewicz,
+    height,
     height_scan_csv,
     mean_cost_closed_form,
     motzkin_tuple,
     nearest_feasible_unary,
     run_bitcost_scan,
     run_height_scan,
+    word_to_tree,
 )
 
 
@@ -102,6 +108,29 @@ def test_height_scan_scalar_engine_agrees_with_batch():
                 (b.stddev**2) / b.replicates + (s.stddev**2) / s.replicates
             )
             assert abs(b.mean_height - s.mean_height) < 6 * gap
+
+
+def test_height_law_oracle_matches_enumeration(motzkin):
+    for n in range(1, 10):
+        for u in range(n % 2 == 0, n, 2):
+            t = motzkin_tuple(n, u)
+            words = list(enumerate_lukasiewicz(t, motzkin))
+            tally = Counter(height(word_to_tree(word, motzkin)) for word in words)
+            law = {h: Fraction(m, len(words)) for h, m in tally.items()}
+            assert motzkin_height_law(u, t.counts[2]) == law, t
+
+
+@pytest.mark.parametrize("engine,replicates", [("batch", 20_000), ("scalar", 2_000)])
+def test_height_scan_mean_matches_the_exact_law(engine, replicates):
+    cfg = HeightScanConfig(
+        n=41, unary_fractions=(0.0, 0.5, 0.9), replicates=replicates, engine=engine
+    )
+    for row in run_height_scan(cfg):
+        law = motzkin_height_law(row.u, row.c)
+        mean = sum(h * p for h, p in law.items())
+        variance = sum(h * h * p for h, p in law.items()) - mean**2
+        stderr = math.sqrt(variance / replicates)
+        assert abs(row.mean_height - mean) < 4 * stderr, (row, float(mean))
 
 
 def test_scalar_height_scan_seeds_draw_distinct_trees():
