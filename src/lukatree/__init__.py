@@ -68,7 +68,6 @@ from .tree import (
     degree_census,
     height,
     serialize,
-    tree_to_word,
     word_to_tree,
 )
 from .words import (

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NotAValidWordError
+
 __all__ = [
     "batch_valid_words",
     "batch_rotate",
@@ -116,23 +118,39 @@ def batch_rotate(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
 def batch_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     """Tree height of each row, the rows being Lukasiewicz words (int32).
 
+    A row that is not a Lukasiewicz word raises NotAValidWordError, naming
+    the first such row.
+
     Node m of the preorder sits at depth H_m = #{j < m : S_j = min S_j..S_m},
     the height process of the path S_j = degree sum of the first j letters.
     No degree is below -1, so a leaf at level S_m closes exactly the open
     nodes opened at that level; a per-row count of open nodes by level is
     all the state needed, for arities of any size.  Like batch_rotate, the
     rows are walked one position at a time: a first pass finds the highest
-    level, which sizes the counts, and a second runs the recurrence.  Depths
-    and counts are int32, so n must be below 2^31.
+    level, which sizes the counts, and the lowest level before the last
+    letter, which with the final level checks each path; a second runs the
+    recurrence.  Depths and counts are int32, so n must be below 2^31.
     """
     reps, n = words.shape
     wT = np.ascontiguousarray(words.T)
     lut = np.asarray(degrees, dtype=np.intp)
     level = np.zeros(reps, dtype=np.intp)
     top = np.zeros(reps, dtype=np.intp)
-    for pos in range(n):
+    low = np.zeros(reps, dtype=np.intp)
+    for pos in range(n - 1):
         level += lut.take(wT[pos])
         np.maximum(top, level, out=top)
+        np.minimum(low, level, out=low)
+    if n:
+        level += lut.take(wT[n - 1])
+    bad = (low < 0) | (level != -1)
+    if bad.any():
+        row = int(bad.argmax())
+        if low[row] < 0:
+            why = "its path drops below 0 before the last letter"
+        else:
+            why = f"its path ends at level {level[row]}, not -1"
+        raise NotAValidWordError(f"row {row} is not a Lukasiewicz word: {why}")
     width = int(top.max(initial=0)) + 1
     opened = np.zeros(reps * width, dtype=np.int32)  # open nodes by (row, level)
     cell = np.arange(reps) * width  # flat index of (row, level before the step); S_0 = 0

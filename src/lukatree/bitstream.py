@@ -31,6 +31,15 @@ class BitSource:
     so ``_buf == 1`` means the buffer is empty and the count of unread bits
     is ``_buf.bit_length() - 1``.  ``bits_consumed`` is derived from that and
     the number of words fetched, so a bit costs one attribute write.
+
+    Bulk readers inside the package (the word fill and the shuffle) skip the
+    method call per bit: they copy ``_buf`` into a local, read and shift it,
+    call ``_refill()`` for the next chunk of bits, under its own leading 1,
+    whenever they need a bit and the local is 1 (or fewer bits than they need
+    are left: the fresh chunk then goes above the unread ones), and write the
+    local back to ``_buf`` in a ``finally``.  ``_refill`` is the only place
+    bits enter the buffer, so a reader that keeps to this protocol is counted
+    by ``bits_consumed`` like the public calls.
     """
 
     __slots__ = ("_rng", "_buf", "_words")
@@ -45,12 +54,16 @@ class BitSource:
         """Bits handed out so far."""
         return 64 * self._words - (self._buf.bit_length() - 1)
 
+    def _refill(self) -> int:
+        """The next 64-bit word of the stream under a leading 1; counts it fetched."""
+        self._words += 1
+        return self._rng.getrandbits(64) | _SENTINEL
+
     def next_bit(self) -> int:
         """One fair bit, 0 or 1."""
         buf = self._buf
         if buf == 1:
-            buf = self._rng.getrandbits(64) | _SENTINEL
-            self._words += 1
+            buf = self._refill()
         self._buf = buf >> 1
         return buf & 1
 
@@ -65,17 +78,14 @@ class BitSource:
         out = buf ^ (1 << avail)
         shift = avail
         remaining = count - avail
-        getrandbits = self._rng.getrandbits
-        words = 1
+        refill = self._refill
         while remaining > 64:
-            out |= getrandbits(64) << shift
+            out |= (refill() ^ _SENTINEL) << shift
             shift += 64
             remaining -= 64
-            words += 1
-        buf = getrandbits(64) | _SENTINEL
+        buf = refill()
         out |= (buf & ((1 << remaining) - 1)) << shift
         self._buf = buf >> remaining
-        self._words += words
         return out
 
 
@@ -101,13 +111,33 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
     """Uniform permutation of 1..n, as a list.
 
     Classic swap-down shuffle: for i = n, n-1, .., 2 swap position i with a
-    uniform position in 1..i.  Uses Theta(n log n) random bits through
-    :func:`uniform_int`.
+    uniform position in 1..i.  Uses Theta(n log n) random bits.  Each
+    position is :func:`uniform_int`'s rejection step, run on a local copy of
+    the source's bit buffer (see :class:`BitSource`): a b-bit block is the
+    low b unread bits, and when fewer than b are left, fresh chunks are
+    spliced in above them, so the blocks, the positions and the bit count
+    are those of ``uniform_int(source, i)`` for i = n, .., 2.
     """
     if n < 1:
         raise DomainTooSmallError(f"fisher_yates needs n >= 1, got {n}")
     perm = list(range(1, n + 1))
-    for i in range(n, 1, -1):
-        j = uniform_int(source, i)
-        perm[i - 1], perm[j] = perm[j], perm[i - 1]
+    buf = source._buf
+    refill = source._refill
+    try:
+        # positions i in 2^(b-1)+1 .. 2^b all draw b-bit blocks
+        for b in range((n - 1).bit_length(), 0, -1):
+            top = 1 << b
+            mask = top - 1
+            for i in range(min(n, top), top >> 1, -1):
+                while True:
+                    while buf < top:  # fewer than b unread bits under the leading 1
+                        avail = buf.bit_length() - 1
+                        buf = buf ^ (1 << avail) | refill() << avail
+                    j = buf & mask
+                    buf >>= b
+                    if j < i:
+                        break
+                perm[i - 1], perm[j] = perm[j], perm[i - 1]
+    finally:
+        source._buf = buf
     return perm

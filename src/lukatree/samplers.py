@@ -16,6 +16,11 @@ means the lower end has passed the segment, so s moves on; a room of n or
 more means the whole interval fits, so the draw returns s.  Until then the
 room stays below 2n, so the loop runs on small integers.
 
+One draw loop serves a single draw and a whole word: it draws a given number
+of letters, takes each out of the pool, and reads its bits from a local copy
+of the source's buffer with no method call per bit.  dichotomic_draw runs it
+once and gives the letter back.
+
 Sampling a uniform tree with letter counts t then goes one of two ways:
 
 permutation -- shuffle 1..n (Theta(n log n) bits), block-fill a valid word,
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
 from .bitstream import BitSource, fisher_yates
@@ -99,30 +104,44 @@ class DiscreteWeights:
         ws[index] -= 1
 
 
-def _draw(next_bit: Callable[[], int], weights: Sequence[int], total: int) -> int:
-    """The dichotomic draw on raw weights summing to total >= 1.
+def _draw_letters(source: BitSource, left: list[int], total: int, count: int) -> list[int]:
+    """The dichotomic draw, count times, each letter taken out of left.
 
-    After depth bits, with low the bits read (first bit most significant) and
-    scale = 2^depth, the interval is [low, low + 1) * total / scale and
-    room = cum[s+1] * scale - low * total for the candidate segment s.  The
-    interval fits in s, (low + 1) * total <= cum[s+1] * scale, exactly when
-    room >= total.
+    left holds non-negative weights summing to total >= count.  Each draw
+    keeps, after depth bits with low the bits read (first bit most
+    significant) and scale = 2^depth, the interval [low, low + 1) * total /
+    scale and room = cum[s+1] * scale - low * total for the candidate segment
+    s.  The interval fits in s, (low + 1) * total <= cum[s+1] * scale, exactly
+    when room >= total.  The bits are read from a local copy of the source's
+    buffer (see :class:`~lukatree.bitstream.BitSource`).
     """
-    s = 0
-    room = weights[0]
-    while room <= 0:  # start at the first non-empty segment
-        s += 1
-        room = weights[s]
-    scale = 1
-    while room < total:
-        room <<= 1
-        scale <<= 1
-        if next_bit():
-            room -= total
-            while room <= 0:
+    buf = source._buf
+    refill = source._refill
+    word = []
+    try:
+        for total in range(total, total - count, -1):  # the pool's size at each draw
+            s = 0
+            room = left[0]
+            while room <= 0:  # start at the first non-empty segment
                 s += 1
-                room += weights[s] * scale
-    return s
+                room = left[s]
+            scale = 1
+            while room < total:
+                room <<= 1
+                scale <<= 1
+                if buf == 1:
+                    buf = refill()
+                if buf & 1:
+                    room -= total
+                    while room <= 0:
+                        s += 1
+                        room += left[s] * scale
+                buf >>= 1
+            left[s] -= 1
+            word.append(s)
+    finally:
+        source._buf = buf
+    return word
 
 
 def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
@@ -130,7 +149,8 @@ def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
 
     Zero-weight indices have zero probability: an empty segment can never
     contain the (always non-empty) interval.  If one index holds all the
-    weight the draw is free.
+    weight the draw is free.  A weight edited below zero, or a total below 1,
+    is a DomainTooSmallError, raised before any bit is read.
 
     After depth bits the interval is [low * total / 2^depth,
     (low + 1) * total / 2^depth): low holds the bits read so far, first bit
@@ -143,10 +163,14 @@ def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
     integer, so no rounding ever happens.
     """
     ws = weights.weights
+    if min(ws, default=0) < 0:
+        raise DomainTooSmallError(f"weights must be >= 0: {ws!r}")
     total = sum(ws)
     if total < 1:
         raise DomainTooSmallError("total weight must be at least 1")
-    return _draw(source.next_bit, ws, total)
+    (letter,) = _draw_letters(source, ws, total, 1)
+    ws[letter] += 1  # the draw took the letter out; the pool keeps it
+    return letter
 
 
 def tuple_to_valid_word(
@@ -158,18 +182,12 @@ def tuple_to_valid_word(
     remaining count, which makes every arrangement of the multiset equally
     likely; the expected cost is below (2 + log2 k) bits per letter.  The
     final letter is forced and free.  The draws and decrements are those of
-    :func:`dichotomic_draw` and :meth:`DiscreteWeights.decrement`, run on a
-    plain list.
+    :func:`dichotomic_draw` and :meth:`DiscreteWeights.decrement`, in one
+    loop over a plain list.
     """
-    counts = f_valid_counts(t, alphabet)
-    left = list(counts)
-    next_bit = source.next_bit
-    word = []
-    for total in range(sum(left), 0, -1):
-        letter = _draw(next_bit, left, total)
-        left[letter] -= 1
-        word.append(letter)
-    return tuple(word)
+    left = list(f_valid_counts(t, alphabet))
+    n = sum(left)
+    return tuple(_draw_letters(source, left, n, n))
 
 
 def sample_lukasiewicz_word(

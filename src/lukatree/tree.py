@@ -16,12 +16,11 @@ from typing import Sequence
 
 from .alphabet import DegreeTuple, TreeAlphabet
 from .errors import NotAValidWordError
-from .words import LukasiewiczWord, path_heights
+from .words import path_heights
 
 __all__ = [
     "PlanarTree",
     "word_to_tree",
-    "tree_to_word",
     "height",
     "degree_census",
     "serialize",
@@ -95,11 +94,6 @@ def word_to_tree(word: Sequence[int], alphabet: TreeAlphabet) -> PlanarTree:
     return PlanarTree(alphabet, [int(x) for x in word])
 
 
-def tree_to_word(tree: PlanarTree) -> LukasiewiczWord:
-    """Preorder letter sequence of the tree (inverse of word_to_tree)."""
-    return LukasiewiczWord(tree.letters)
-
-
 def height(tree: PlanarTree) -> int:
     """Largest node depth; 0 for a single leaf."""
     best = 0
@@ -130,7 +124,7 @@ def serialize(tree: PlanarTree, fmt: str = "paren") -> str:
     luka  -- the Lukasiewicz word itself, one symbol per node
     """
     if fmt == "luka":
-        return tree.alphabet.format_word(tree_to_word(tree))
+        return tree.alphabet.format_word(tree.letters)
     if fmt == "paren":
         return _paren(tree)
     if fmt == "dot":

@@ -32,19 +32,33 @@ class Exhausted(Exception):
 
 
 class ReplayBitSource:
-    """BitSource stand-in that plays back a fixed bit sequence."""
+    """BitSource stand-in that plays back a fixed bit sequence.
+
+    It keeps BitSource's bulk-reader protocol with one-bit chunks: `_refill`
+    returns the next scripted bit under a leading 1, so the library's loops
+    that read `_buf` directly play the script one bit at a time too, and the
+    first bit past its end raises Exhausted wherever it is read.  Those loops
+    fetch a chunk only when they need its bit, so `_buf` is empty again
+    whenever a public call reads the script.
+    """
 
     def __init__(self, bits: tuple[int, ...]):
         self.bits = bits
         self.pos = 0
-        self.bits_consumed = 0
+        self._buf = 1
+
+    @property
+    def bits_consumed(self) -> int:
+        return self.pos - (self._buf.bit_length() - 1)
+
+    def _refill(self) -> int:
+        return 2 | self.next_bit()
 
     def next_bit(self) -> int:
         if self.pos >= len(self.bits):
             raise Exhausted
         bit = self.bits[self.pos]
         self.pos += 1
-        self.bits_consumed += 1
         return bit
 
     def next_bits(self, count: int) -> int:

@@ -11,6 +11,7 @@ from conftest import ScriptedGenerator, exact_distribution
 from lukatree import (
     METHODS,
     Classification,
+    NotAValidWordError,
     TreeAlphabet,
     classify,
     enumerate_lukasiewicz,
@@ -214,6 +215,21 @@ def test_wide_arity_alphabet_matches_scalar():
         expected = to_lukasiewicz(tuple(int(x) for x in raw), ternary)
         assert tuple(int(x) for x in rot) == tuple(expected)
         assert int(h) == height(word_to_tree(expected, ternary))
+
+
+@pytest.mark.parametrize(
+    "rows,bad,why",
+    [
+        ([[0, 2, 0]], 0, "drops below 0"),  # aca: complete after one letter
+        ([[0, 0, 2]], 0, "drops below 0"),  # aac: the path would index level -2
+        ([[2, 0, 0], [2, 1, 0]], 1, "ends at level 0"),  # cba leaves a slot unfilled
+        ([[2, 0, 0], [2, 2, 2], [0, 2, 0]], 1, "ends at level 3"),
+    ],
+)
+def test_heights_reject_rows_that_are_not_lukasiewicz(motzkin, rows, bad, why):
+    words = np.array(rows, dtype=np.int8)
+    with pytest.raises(NotAValidWordError, match=f"row {bad} .*{why}"):
+        batch_heights(words, motzkin.degrees)
 
 
 def test_height_edge_rows(motzkin):

@@ -1,11 +1,21 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from conftest import exact_distribution
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lukatree import BitSource, DomainTooSmallError, fisher_yates, uniform_int
+from lukatree import (
+    BitSource,
+    DomainTooSmallError,
+    fisher_yates,
+    motzkin_alphabet,
+    tuple_to_valid_word,
+    uniform_int,
+)
 
 
 def test_determinism_and_bit_values():
@@ -182,25 +192,94 @@ def test_fisher_yates_nlogn_bit_growth():
     assert abs(ratio - 2.2) <= 0.22
 
 
+def _reference_fisher_yates(source, n):
+    """The shuffle as first written: one uniform_int call per position.
+
+    Kept as a test oracle for the local-buffer loop, which must give the same
+    permutation after reading the same bits.
+    """
+    perm = list(range(1, n + 1))
+    for i in range(n, 1, -1):
+        j = uniform_int(source, i)
+        perm[i - 1], perm[j] = perm[j], perm[i - 1]
+    return perm
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(-(2**64), 2**64),
+    skip=st.integers(0, 129),
+    n=st.integers(1, 600),
+)
+@example(seed=0, skip=0, n=600)  # the loop starts on an empty buffer
+@example(seed=0, skip=1, n=600)  # on 63 unread bits, the most there can be
+@example(seed=0, skip=64, n=600)
+@example(seed=0, skip=63, n=3)  # on one unread bit, short of a 2-bit block
+def test_shuffle_matches_the_reference_shuffle(seed, skip, n):
+    # skip bits read first start the loop at every position of the buffer
+    new, old = BitSource(seed), BitSource(seed)
+    assert new.next_bits(skip) == old.next_bits(skip)
+    assert fisher_yates(new, n) == _reference_fisher_yates(old, n)
+    assert new.bits_consumed == old.bits_consumed
+    assert new.next_bits(64) == old.next_bits(64)
+
+
 class _TalliedSource(BitSource):
-    """Counts what the public bit interface hands out."""
+    """Counts the calls at both bit interfaces, and the bits handed out.
+
+    Public calls and the package's bulk loops alike take their bits from
+    `_buf`, and bits enter `_buf` only through `_refill`, so the bits handed
+    out are the bits fetched less the bits still unread.  `fetched` is summed
+    from the chunks themselves, apart from BitSource's own word count.
+    """
 
     def __init__(self, seed):
         super().__init__(seed)
-        self.tally = 0
+        self.calls = Counter()
+        self.fetched = 0
+
+    @property
+    def tally(self):
+        return self.fetched - (self._buf.bit_length() - 1)
+
+    def _refill(self):
+        self.calls["_refill"] += 1
+        chunk = super()._refill()
+        self.fetched += chunk.bit_length() - 1
+        return chunk
 
     def next_bit(self):
-        self.tally += 1
+        self.calls["next_bit"] += 1
         return super().next_bit()
 
     def next_bits(self, count):
-        self.tally += count
+        self.calls["next_bits"] += 1
         return super().next_bits(count)
 
 
 def test_no_hidden_entropy():
-    # bits_consumed must equal the bits actually handed out, composite ops included
+    # bits_consumed must equal the bits actually handed out, composite ops
+    # included, and a fresh source that skips that many bits is in step
     source = _TalliedSource(3)
     fisher_yates(source, 500)
     uniform_int(source, 1000)
+    source.next_bit()
+    tuple_to_valid_word(source, (21, 7, 20), motzkin_alphabet())
     assert source.bits_consumed == source.tally
+    fresh = BitSource(3)
+    fresh.next_bits(source.bits_consumed)
+    assert fresh.next_bits(64) == source.next_bits(64)
+
+
+@pytest.mark.parametrize("op", ["fill", "shuffle"])
+def test_bulk_loops_make_no_call_per_bit(op):
+    # at n = 10001 the word fill and the shuffle read the buffer themselves,
+    # and fetch one 64-bit word for every 64 bits they use, no earlier
+    source = _TalliedSource(11)
+    if op == "fill":
+        tuple_to_valid_word(source, (3334, 3334, 3333), motzkin_alphabet())
+    else:
+        fisher_yates(source, 10001)
+    assert source.calls["next_bit"] == source.calls["next_bits"] == 0
+    assert source.calls["_refill"] == -(-source.bits_consumed // 64)
+    assert source.tally == source.bits_consumed

@@ -3,10 +3,11 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_distribution
+from test_bitstream import _reference_fisher_yates
 from lukatree import (
     METHODS,
     BitSource,
@@ -17,6 +18,7 @@ from lukatree import (
     degree_census,
     dichotomic_draw,
     enumerate_lukasiewicz,
+    fisher_yates,
     enumerate_valid_words,
     mean_cost_closed_form,
     parse_alphabet,
@@ -103,16 +105,35 @@ def test_draw_matches_the_reference_draw(ws, seed, draws):
     assert new.next_bits(64) == old.next_bits(64)
 
 
+def _reference_fill(source, counts):
+    """The word fill as the reference draw and decrement, letter by letter."""
+    pool = DiscreteWeights(counts)
+    letters = []
+    for _ in range(sum(counts)):
+        letter = _reference_draw(source, pool)
+        pool.decrement(letter)
+        letters.append(letter)
+    return tuple(letters)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     unary=st.integers(0, 40),
     binary_nodes=st.integers(0, 40),
     seed=st.integers(0, 2**64),
+    skip=st.integers(0, 129),
 )
-def test_word_fill_is_the_draw_and_decrement_composition(unary, binary_nodes, seed):
-    # the letter-by-letter replay the benchmark times must give the same word
+@example(unary=40, binary_nodes=40, seed=0, skip=0)  # the loop starts on an empty buffer
+@example(unary=40, binary_nodes=40, seed=0, skip=1)  # on 63 unread bits, the most there can be
+@example(unary=40, binary_nodes=40, seed=0, skip=63)
+def test_word_fill_is_the_draw_and_decrement_composition(unary, binary_nodes, seed, skip):
+    # the letter-by-letter replay the benchmark times must give the same word,
+    # and so must the reference draw; skip bits read first start the loop at
+    # every position of the buffer
     counts = (binary_nodes + 1, unary, binary_nodes)
-    fill, replay = BitSource(seed), BitSource(seed)
+    fill, replay, reference = BitSource(seed), BitSource(seed), BitSource(seed)
+    for source in (fill, replay, reference):
+        source.next_bits(skip)
     word = tuple_to_valid_word(fill, counts, parse_alphabet("a:-1,b:0,c:1"))
     pool = DiscreteWeights(counts)
     letters = []
@@ -120,8 +141,28 @@ def test_word_fill_is_the_draw_and_decrement_composition(unary, binary_nodes, se
         letter = dichotomic_draw(replay, pool)
         pool.decrement(letter)
         letters.append(letter)
-    assert word == tuple(letters)
-    assert fill.bits_consumed == replay.bits_consumed
+    assert word == tuple(letters) == _reference_fill(reference, counts)
+    assert fill.bits_consumed == replay.bits_consumed == reference.bits_consumed
+    assert fill.next_bits(64) == replay.next_bits(64) == reference.next_bits(64)
+
+
+def test_fill_next_bit_and_shuffle_interleave_on_one_source():
+    counts = (13, 5, 12)
+    alphabet = parse_alphabet("a:-1,b:0,c:1")
+    new, old = BitSource(21), BitSource(21)
+    for _ in range(3):
+        assert tuple_to_valid_word(new, counts, alphabet) == _reference_fill(old, counts)
+        assert new.next_bit() == old.next_bit()
+        assert fisher_yates(new, 77) == _reference_fisher_yates(old, 77)
+        assert new.bits_consumed == old.bits_consumed
+    assert new.next_bits(64) == old.next_bits(64)
+
+
+def test_one_letter_word_costs_nothing():
+    source = BitSource(8)
+    assert tuple_to_valid_word(source, (1,), parse_alphabet("a:-1")) == (0,)
+    assert source.bits_consumed == 0
+    assert source.next_bits(64) == BitSource(8).next_bits(64)
 
 
 def test_draw_from_an_exhausted_pool_is_a_domain_error():
@@ -130,6 +171,19 @@ def test_draw_from_an_exhausted_pool_is_a_domain_error():
     source = BitSource(0)
     with pytest.raises(DomainTooSmallError):
         dichotomic_draw(source, w)
+    assert source.bits_consumed == 0
+
+
+@pytest.mark.parametrize("edit", [(1, -1), (slice(None), [-1, 3, 0])], ids=["one", "all"])
+def test_draw_rejects_a_weight_edited_below_zero(edit):
+    w = DiscreteWeights((2, 1, 1))
+    index, value = edit
+    w.weights[index] = value
+    edited = list(w.weights)
+    source = BitSource(0)
+    with pytest.raises(DomainTooSmallError, match="-1"):
+        dichotomic_draw(source, w)
+    assert w.weights == edited
     assert source.bits_consumed == 0
 
 

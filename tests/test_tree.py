@@ -8,7 +8,6 @@ from lukatree import (
     enumerate_lukasiewicz,
     height,
     serialize,
-    tree_to_word,
     word_to_tree,
 )
 
@@ -28,7 +27,7 @@ def test_decode_worked_example(motzkin):
     assert tree.children == [[1, 2], [], [3, 5], [4], [], [6], []]
     assert height(tree) == 3
     assert degree_census(tree) == DegreeTuple((3, 2, 2))
-    assert tree_to_word(tree) == word
+    assert tree.letters == list(word)
 
 
 def test_decode_rejects_malformed_words(motzkin):
@@ -126,7 +125,7 @@ def test_deep_caterpillar_does_not_recurse(motzkin):
     word = motzkin.parse_word("b" * 5000 + "a")
     tree = word_to_tree(word, motzkin)
     assert height(tree) == 5000
-    assert tree_to_word(tree) == word
+    assert tree.letters == list(word)
     assert _preorder_letters(tree) == list(word)
     assert serialize(tree, "luka") == "b" * 5000 + "a"
 
@@ -140,6 +139,6 @@ def test_round_trip_exhaustive(motzkin, binary):
             words = enumerate_lukasiewicz(DegreeTuple(counts), alphabet)
             for word in words:
                 tree = word_to_tree(word, alphabet)
-                assert tuple(tree_to_word(tree)) == tuple(word)
+                assert tuple(tree.letters) == tuple(word)
                 assert _preorder_letters(tree) == list(word)
                 assert degree_census(tree) == DegreeTuple(counts)
