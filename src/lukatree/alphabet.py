@@ -107,7 +107,8 @@ class TreeAlphabet:
 
     def format_word(self, word: Sequence[int]) -> str:
         """Inverse of parse_word."""
-        return "".join(self.letters[i] for i in word)
+        letters = self.letters
+        return "".join([letters[i] for i in word])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TreeAlphabet({format_alphabet(self)!r})"

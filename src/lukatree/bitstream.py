@@ -117,6 +117,11 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
     low b unread bits, and when fewer than b are left, fresh chunks are
     spliced in above them, so the blocks, the positions and the bit count
     are those of ``uniform_int(source, i)`` for i = n, .., 2.
+
+    The result is a permutation by construction, so the permutation sampler
+    block-fills it through :func:`lukatree.words._place_blocks`, which checks
+    nothing; :func:`lukatree.words.permutation_to_valid_word` is the fill
+    that checks a permutation given from outside.
     """
     if n < 1:
         raise DomainTooSmallError(f"fisher_yates needs n >= 1, got {n}")
@@ -128,16 +133,17 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
         for b in range((n - 1).bit_length(), 0, -1):
             top = 1 << b
             mask = top - 1
-            for i in range(min(n, top), top >> 1, -1):
+            # i is the 0-based index of 1-based position i + 1
+            for i in range(min(n, top) - 1, (top >> 1) - 1, -1):
                 while True:
                     while buf < top:  # fewer than b unread bits under the leading 1
                         avail = buf.bit_length() - 1
                         buf = buf ^ (1 << avail) | refill() << avail
                     j = buf & mask
                     buf >>= b
-                    if j < i:
+                    if j <= i:
                         break
-                perm[i - 1], perm[j] = perm[j], perm[i - 1]
+                perm[i], perm[j] = perm[j], perm[i]
     finally:
         source._buf = buf
     return perm

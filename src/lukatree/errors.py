@@ -57,10 +57,11 @@ class DomainTooSmallError(LukatreeError):
     """The requested quantity is undefined below its minimum domain."""
 
 
-# -- enumeration -------------------------------------------------------------
+# -- size caps ---------------------------------------------------------------
 
 class LimitExceededError(LukatreeError):
-    """Exhaustive enumeration was requested beyond the configured size cap."""
+    """A size is beyond a cap: exhaustive enumeration beyond its configured
+    limit, or a sampled word longer than a list can hold."""
 
 
 # -- experiments -------------------------------------------------------------

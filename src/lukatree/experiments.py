@@ -29,7 +29,7 @@ from typing import Sequence
 from .alphabet import DegreeTuple, motzkin_alphabet
 from .bitstream import _MASK64, BitSource
 from .errors import DomainTooSmallError, InfeasibleParityError, LukatreeError
-from .samplers import DiscreteWeights, dichotomic_draw, mean_cost_closed_form, sample_lukasiewicz_word
+from .samplers import _draw_letters, mean_cost_closed_form, sample_lukasiewicz_word
 
 __all__ = [
     "motzkin_tuple",
@@ -233,11 +233,14 @@ def run_bitcost_scan(k_max: int, replicates: int, seed: int = 0) -> list[BitCost
     for k in range(2, k_max + 1):
         bound = 2.0 + math.log2(k)
         stats = []
-        for weights in (DiscreteWeights([1] * k), DiscreteWeights([2] + [1] * (k - 1))):
+        for pool in ([1] * k, [2] + [1] * (k - 1)):
+            total = sum(pool)
             costs = np.empty(replicates, dtype=np.int64)
             for rep in range(replicates):
                 before = source.bits_consumed
-                dichotomic_draw(source, weights)
+                # dichotomic_draw without its guards: this pool is ours, never edited
+                (letter,) = _draw_letters(source, pool, total, 1)
+                pool[letter] += 1
                 costs[rep] = source.bits_consumed - before
             mean = float(np.mean(costs))
             stderr = float(np.std(costs, ddof=1)) / math.sqrt(replicates)

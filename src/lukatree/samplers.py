@@ -35,15 +35,16 @@ per draw.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
 from .bitstream import BitSource, fisher_yates
-from .errors import DomainTooSmallError
+from .errors import DomainTooSmallError, LimitExceededError
 from .tree import PlanarTree
-from .words import LukasiewiczWord, permutation_to_valid_word, to_lukasiewicz
+from .words import LukasiewiczWord, _place_blocks, to_lukasiewicz
 
 __all__ = [
     "DiscreteWeights",
@@ -196,15 +197,25 @@ def sample_lukasiewicz_word(
     alphabet: TreeAlphabet,
     method: str = "dichotomic",
 ) -> LukasiewiczWord:
-    """Uniform Lukasiewicz word with letter counts t, by either pipeline."""
-    if method == "dichotomic":
-        word = tuple_to_valid_word(source, t, alphabet)
-    elif method == "permutation":
-        counts = f_valid_counts(t, alphabet)  # check before the shuffle spends bits
-        sigma = fisher_yates(source, sum(counts))
-        word = permutation_to_valid_word(sigma, counts, alphabet)
-    else:
+    """Uniform Lukasiewicz word with letter counts t, by either pipeline.
+
+    The counts are checked before any bit is read: they must be f-valid, and
+    their total n no more than a list can hold (sys.maxsize), else a
+    LimitExceededError.  The shuffle's permutation goes to the unchecked
+    block fill, words._place_blocks.
+    """
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    counts = f_valid_counts(t, alphabet)
+    n = sum(counts)
+    if n > sys.maxsize:
+        raise LimitExceededError(
+            f"tuple total {n} is more letters than a list can hold ({sys.maxsize})"
+        )
+    if method == "dichotomic":
+        word = tuple_to_valid_word(source, counts, alphabet)
+    else:
+        word = _place_blocks(fisher_yates(source, n), counts)
     return to_lukasiewicz(word, alphabet)
 
 

@@ -12,7 +12,9 @@ Lukasiewicz: rotate just past the first position where the path attains its
 minimum.  Together with the block construction of :func:`permutation_to_valid_word`
 (every permutation of 1..n gives a valid word, and each valid word is hit by
 the same number prod_i n_i! of permutations) this yields the uniform sampler:
-shuffle, build the valid word, rotate.
+shuffle, build the valid word, rotate.  The public fill checks that it was
+given a permutation; the sampler's own shuffle makes one by construction, so
+it calls the unchecked core, _place_blocks, instead.
 """
 
 from __future__ import annotations
@@ -132,6 +134,11 @@ def permutation_to_valid_word(
     output is always a valid word, and each valid word of type t is produced
     by exactly prod_i n_i! permutations, so a uniform permutation gives a
     uniform valid word.
+
+    sigma is checked here, before the fill: a wrong length, or an entry out
+    of 1..n or repeated, is a NotAPermutationError that names it.  The
+    permutation sampler fills through the unchecked core, _place_blocks, as
+    its permutation comes from fisher_yates.
     """
     counts = f_valid_counts(t, alphabet)
     n = sum(counts)
@@ -139,15 +146,27 @@ def permutation_to_valid_word(
         raise NotAPermutationError(
             f"expected a permutation of 1..{n}, got {len(sigma)} entries"
         )
-    word = [-1] * n  # -1: position not filled yet
-    pos = 0
-    for letter, count in enumerate(counts):
-        for p in sigma[pos : pos + count]:
-            # p < 1 would wrap around the list and p > n would leave it
-            if not 0 < p <= n or word[p - 1] != -1:
+    # n entries that cover 1..n are a permutation of it
+    if not set(sigma).issuperset(range(1, n + 1)):
+        # find the entry to name; only a sigma that is no permutation gets here
+        left = set(range(1, n + 1))
+        for p in sigma:
+            if p not in left:
                 raise NotAPermutationError(
                     f"expected a permutation of 1..{n}, got {p!r} out of range or repeated"
                 )
-            word[p - 1] = letter
+            left.remove(p)
+    return _place_blocks(sigma, counts)
+
+
+def _place_blocks(sigma: Sequence[int], counts: Sequence[int]) -> tuple[int, ...]:
+    """The block fill of permutation_to_valid_word, on a sigma known to be a
+    permutation of 1..sum(counts): nothing is checked."""
+    word = [0] * (len(sigma) + 1)  # slot p is position p; slot 0 is dropped
+    pos = 0
+    for letter, count in enumerate(counts):
+        for p in sigma[pos : pos + count]:
+            word[p] = letter
         pos += count
+    del word[0]
     return tuple(word)

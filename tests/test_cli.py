@@ -570,6 +570,17 @@ def test_sample_count_below_one_is_a_domain_error(capsys, count):
     assert len(lines) == 1 and lines[0].startswith("lukatree: error:"), lines
 
 
+@pytest.mark.parametrize("method", ["dicho", "perm"])
+def test_sample_total_no_list_can_hold_is_a_domain_error(capsys, method):
+    code, out, err = run_cli(
+        capsys, "sample", "--alphabet", BINARY,
+        "--tuple", "5000000000000000001,5000000000000000000", "--method", method,
+    )
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lukatree: error:"), lines
+
+
 def test_count_prints_answers_past_the_int_str_digit_cap(capsys):
     # Catalan(10000) has 6015 digits, more than str() of an int allows by default
     code, out, err = run_cli(capsys, "count", "--alphabet", BINARY, "--tuple", "10001,10000")

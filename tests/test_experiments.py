@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -216,6 +217,14 @@ def test_bitcost_scan_even_split_is_exact():
     assert row.mean_bits == 1.0 and row.stderr == 0.0
     # offset weights (2,1): the mean is exactly 2 in law; allow sampling noise
     assert abs(row.mean_bits_offset - 2.0) < 0.5
+
+
+def test_bitcost_scan_pinned_past_k_64():
+    # every row's bytes, on pools wider than the default scan's k <= 64
+    text = bitcost_csv(run_bitcost_scan(300, 30, seed=1))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e11ff32c31e46d7f8a0a69c26ff57bd87bc18f5655a223f1b37c861087e62e43"
+    )
 
 
 def test_bitcost_csv_shape():

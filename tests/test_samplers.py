@@ -1,19 +1,24 @@
 import math
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import lukatree
 from conftest import exact_distribution
 from test_bitstream import _reference_fisher_yates
+from lukatree import samplers, words
 from lukatree import (
     METHODS,
     BitSource,
     DegreeTuple,
     DiscreteWeights,
     DomainTooSmallError,
+    LimitExceededError,
+    TreeAlphabet,
     TupleNotValidError,
     degree_census,
     dichotomic_draw,
@@ -22,9 +27,11 @@ from lukatree import (
     enumerate_valid_words,
     mean_cost_closed_form,
     parse_alphabet,
+    permutation_to_valid_word,
     sample_lukasiewicz_word,
     sample_tree,
     serialize,
+    to_lukasiewicz,
     tuple_to_valid_word,
 )
 
@@ -313,6 +320,50 @@ def test_both_pipelines_check_the_tuple_before_drawing(motzkin, t):
         assert source.bits_consumed == 0, method
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_total_no_list_can_hold_is_rejected_before_drawing(method):
+    half = sys.maxsize // 2 + 1  # n = 2 * half + 1 > sys.maxsize
+    source = BitSource(5)
+    with pytest.raises(LimitExceededError, match=str(2 * half + 1)):
+        sample_lukasiewicz_word(source, (half + 1, half), parse_alphabet("a:-1,c:1"), method)
+    assert source.bits_consumed == 0
+
+
+@st.composite
+def alphabet_and_tuple(draw):
+    """Up to 5 letters, degrees repeated or not, and an f-valid tuple with zeros."""
+    k = draw(st.integers(1, 5))
+    extra = draw(st.lists(st.integers(-1, 2), min_size=k - 1, max_size=k - 1))
+    degrees = tuple(sorted([-1] + extra))
+    rest = draw(st.lists(st.integers(0, 3), min_size=k - 1, max_size=k - 1))
+    first = 1 + sum(c * d for c, d in zip(rest, degrees[1:]))  # forced by validity
+    assume(first >= 0)
+    return TreeAlphabet(tuple("abcde"[:k]), degrees), (first, *rest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=alphabet_and_tuple(), seed=st.integers(-(2**64), 2**64), skip=st.integers(0, 129))
+def test_permutation_sampler_is_the_public_composition(pair, seed, skip):
+    # the sampler's unchecked fill gives what the public, checking calls give
+    alphabet, counts = pair
+    sampler, composed = BitSource(seed), BitSource(seed)
+    assert sampler.next_bits(skip) == composed.next_bits(skip)
+    word = sample_lukasiewicz_word(sampler, counts, alphabet, "permutation")
+    sigma = fisher_yates(composed, sum(counts))
+    assert word == to_lukasiewicz(permutation_to_valid_word(sigma, counts, alphabet), alphabet)
+    assert sampler.bits_consumed == composed.bits_consumed
+
+
+def test_permutation_sampler_does_not_recheck_its_shuffle(monkeypatch, motzkin):
+    def refuse(*args):
+        raise AssertionError("the sampler called the checking fill")
+
+    for module in (words, samplers, lukatree):
+        monkeypatch.setattr(module, "permutation_to_valid_word", refuse, raising=False)
+    word = sample_lukasiewicz_word(BitSource(3), (40, 21, 39), motzkin, "permutation")
+    assert tuple(word.count(i) for i in range(3)) == (40, 21, 39)
 
 
 def test_pipelines_agree_in_law(motzkin):

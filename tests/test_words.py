@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -126,6 +127,24 @@ def test_permutation_validation(motzkin, binary):
             permutation_to_valid_word(sigma, (2, 1), binary)
     with pytest.raises(TupleNotValidError):
         permutation_to_valid_word((1, 2, 3), (1, 1, 1), motzkin)
+
+
+@pytest.mark.parametrize(
+    "sigma, named",
+    [
+        ((0, 1, 2, 3, 4), "got 0 "),
+        ((1, 2, -1, 3, 4), "got -1 "),  # -1 and -n would index from the end
+        ((1, 2, 3, 4, -5), "got -5 "),
+        ((1, 6, 2, 3, 4), "got 6 "),
+        ((1, 2, 3, 2, 5), "got 2 "),
+        ((1, 2, 3, 4), "got 4 entries"),
+        ((1, 2, 3, 4, 5, 6), "got 6 entries"),
+    ],
+    ids=["zero", "minus-one", "minus-n", "n-plus-one", "repeat", "short", "long"],
+)
+def test_permutation_rejections_name_the_entry_or_the_length(motzkin, sigma, named):
+    with pytest.raises(NotAPermutationError, match=re.escape(named)):
+        permutation_to_valid_word(sigma, (3, 0, 2), motzkin)
 
 
 def test_permutation_fibers_are_uniform(motzkin):
