@@ -1,21 +1,59 @@
 """Fair-bit source with exact accounting, and the samplers built on raw bits.
 
-Everything random in this package is driven by a :class:`BitSource`: a seeded
-Mersenne Twister consumed one bit at a time.  ``bits_consumed`` goes up by
-exactly one per bit and by nothing else, so the entropy cost of any composite
-operation can be read off as a counter difference.
+Everything random in this package is driven by a :class:`BitSource`: the
+LSB-first bits of a seeded Mersenne Twister's successive 64-bit words.  The
+bits are fetched in bulk and handed out from a chunked buffer, but
+``bits_consumed`` goes up by exactly one per bit handed out and by nothing
+else, so the entropy cost of any composite operation can be read off as a
+counter difference.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
 from .errors import DomainTooSmallError
 
 __all__ = ["BitSource", "uniform_int", "fisher_yates"]
 
 _MASK64 = (1 << 64) - 1
-_SENTINEL = 1 << 64  # marks the top of a freshly fetched word
+
+# Chunk widths, each the one its reader runs fastest on in CPython.  A bit
+# read from an int below 2^30 (one internal digit) is cheaper than one read
+# from a 64-bit word (three digits), so the queue that next_bit and the word
+# fill read holds 16-bit chunks under their leading 1.  It is refilled 16
+# words at a time, cut in C (to_bytes, slices into a bytearray and a
+# memoryview cast): cutting fewer words per fetch, or wider chunks, made the
+# fill slower.  The shuffle reads b-bit blocks and splices fresh bits above
+# its unread ones, which copies the whole buffer, so it splices 4 words
+# (256 bits) at a time.
+_CHUNK_BITS = 16
+_QUEUE_WORDS = 16
+_SHUFFLE_WORDS = 4
+_CHUNK_ONES = b"\x01" * (64 * _QUEUE_WORDS // _CHUNK_BITS)  # the leading 1 of each chunk
+
+
+def _cut(block: int, byteorder: str) -> list[int]:
+    """A fetched block's 16-bit chunks, each under a leading 1, last chunk first.
+
+    block holds 64 * _QUEUE_WORDS bits under its leading 1.  Each chunk
+    becomes the 4-byte unsigned int ``chunk | 1 << 16``, laid out in
+    byteorder, the byte order of the host that casts the bytes back to ints.
+    The list is in reverse stream order, so ``list.pop()`` gives the next
+    chunk.
+    """
+    data = block.to_bytes(1 + 8 * _QUEUE_WORDS, "big")  # the leading 1, then chunk bytes, high first
+    ints = bytearray(4 * len(_CHUNK_ONES))
+    if byteorder == "little":
+        ints[0::4] = data[2::2]  # low byte of each chunk
+        ints[1::4] = data[1::2]  # high byte
+        ints[2::4] = _CHUNK_ONES
+    else:
+        ints[1::4] = _CHUNK_ONES
+        ints[2::4] = data[1::2]
+        ints[3::4] = data[2::2]
+    return memoryview(ints).cast("I").tolist()
 
 
 class BitSource:
@@ -24,40 +62,60 @@ class BitSource:
     Bits are taken from successive 64-bit words of ``random.Random(seed)``,
     least significant bit first.  ``next_bits(k)`` is exactly equivalent to k
     ``next_bit()`` calls with the first-drawn bit in the least significant
-    position; it exists because the word buffer makes the bulk form much
-    cheaper than k method calls.
+    position; it exists because the buffer makes the bulk form much cheaper
+    than k method calls.
 
-    The unread bits of the current word sit below a leading 1 in ``_buf``,
-    so ``_buf == 1`` means the buffer is empty and the count of unread bits
-    is ``_buf.bit_length() - 1``.  ``bits_consumed`` is derived from that and
-    the number of words fetched, so a bit costs one attribute write.
+    Bits enter only through ``_fetch(m)``, which returns the next m words as
+    one int under a leading 1, ``getrandbits(64 * m) | 1 << 64 * m`` (the same
+    bits, and the same generator state, as m ``getrandbits(64)`` calls), and
+    counts m words in ``_words``.  Nothing is fetched before the first read.
+    Unread bits sit in two places, in stream order:
+
+    - ``_buf``: the bits being read, under a leading 1, so ``_buf == 1`` means
+      it is empty and it holds ``_buf.bit_length() - 1`` bits;
+    - ``_queue``: 16-bit chunks, each under its own leading 1, in reverse
+      order; ``_queued`` counts their bits.
+
+    ``_refill()`` pops the next chunk off the queue, cutting 16 fresh words
+    into 64 chunks when it is empty.  Every bit fetched is therefore handed
+    out, queued or in ``_buf``, and ``bits_consumed`` is exact:
+    ``64 * _words - _queued - (_buf.bit_length() - 1)``.
 
     Bulk readers inside the package (the word fill and the shuffle) skip the
     method call per bit: they copy ``_buf`` into a local, read and shift it,
-    call ``_refill()`` for the next chunk of bits, under its own leading 1,
-    whenever they need a bit and the local is 1 (or fewer bits than they need
-    are left: the fresh chunk then goes above the unread ones), and write the
-    local back to ``_buf`` in a ``finally``.  ``_refill`` is the only place
-    bits enter the buffer, so a reader that keeps to this protocol is counted
-    by ``bits_consumed`` like the public calls.
+    take fresh bits above the unread ones only when they need them, and write
+    the local back to ``_buf`` in a ``finally``.  The fill pops ``_queue``
+    itself and resyncs ``_queued`` on exit; the shuffle splices the queued
+    chunks into its local once, then ``_fetch``-es 4 words at a time.
     """
 
-    __slots__ = ("_rng", "_buf", "_words")
+    __slots__ = ("_rng", "_buf", "_words", "_queue", "_queued")
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed & _MASK64)
         self._buf = 1
         self._words = 0
+        self._queue: list[int] = []
+        self._queued = 0
 
     @property
     def bits_consumed(self) -> int:
         """Bits handed out so far."""
-        return 64 * self._words - (self._buf.bit_length() - 1)
+        return 64 * self._words - self._queued - (self._buf.bit_length() - 1)
+
+    def _fetch(self, m: int) -> int:
+        """The next m 64-bit words, first word lowest, under a leading 1; counts them."""
+        self._words += m
+        width = 64 * m
+        return self._rng.getrandbits(width) | 1 << width
 
     def _refill(self) -> int:
-        """The next 64-bit word of the stream under a leading 1; counts it fetched."""
-        self._words += 1
-        return self._rng.getrandbits(64) | _SENTINEL
+        """The next 16-bit chunk of the stream under a leading 1, off the queue."""
+        queue = self._queue
+        if not queue:
+            queue += _cut(self._fetch(_QUEUE_WORDS), sys.byteorder)
+        self._queued = _CHUNK_BITS * (len(queue) - 1)
+        return queue.pop()
 
     def next_bit(self) -> int:
         """One fair bit, 0 or 1."""
@@ -69,24 +127,17 @@ class BitSource:
 
     def next_bits(self, count: int) -> int:
         """count fair bits as one integer, first-drawn bit least significant."""
+        if count < 0:
+            raise DomainTooSmallError(f"next_bits needs count >= 0, got {count}")
         buf = self._buf
         avail = buf.bit_length() - 1
-        if count <= avail:
-            self._buf = buf >> count
-            return buf & ((1 << count) - 1)
-        # drain the buffer, then take whole fresh 64-bit words
-        out = buf ^ (1 << avail)
-        shift = avail
-        remaining = count - avail
-        refill = self._refill
-        while remaining > 64:
-            out |= (refill() ^ _SENTINEL) << shift
-            shift += 64
-            remaining -= 64
-        buf = refill()
-        out |= (buf & ((1 << remaining) - 1)) << shift
-        self._buf = buf >> remaining
-        return out
+        if avail < count:
+            refill = self._refill
+            while avail < count:  # fresh chunks go above the unread bits
+                buf = buf ^ (1 << avail) | refill() << avail
+                avail = buf.bit_length() - 1
+        self._buf = buf >> count
+        return buf & ((1 << count) - 1)
 
 
 def uniform_int(source: BitSource, m: int) -> int:
@@ -114,9 +165,11 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
     uniform position in 1..i.  Uses Theta(n log n) random bits.  Each
     position is :func:`uniform_int`'s rejection step, run on a local copy of
     the source's bit buffer (see :class:`BitSource`): a b-bit block is the
-    low b unread bits, and when fewer than b are left, fresh chunks are
-    spliced in above them, so the blocks, the positions and the bit count
-    are those of ``uniform_int(source, i)`` for i = n, .., 2.
+    low b unread bits.  The queued chunks are spliced in above the buffer's
+    bits once, at the start; after that, whenever fewer than b bits are left,
+    4 fresh words are spliced in above them.  So the blocks, the positions
+    and the bit count are those of ``uniform_int(source, i)`` for
+    i = n, .., 2, and the unread bits are left in ``_buf``.
 
     The result is a permutation by construction, so the permutation sampler
     block-fills it through :func:`lukatree.words._place_blocks`, which checks
@@ -127,8 +180,13 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
         raise DomainTooSmallError(f"fisher_yates needs n >= 1, got {n}")
     perm = list(range(1, n + 1))
     buf = source._buf
-    refill = source._refill
+    queue = source._queue
+    fetch = source._fetch
     try:
+        while queue:
+            avail = buf.bit_length() - 1
+            buf = buf ^ (1 << avail) | queue.pop() << avail
+        source._queued = 0
         # positions i in 2^(b-1)+1 .. 2^b all draw b-bit blocks
         for b in range((n - 1).bit_length(), 0, -1):
             top = 1 << b
@@ -138,7 +196,7 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
                 while True:
                     while buf < top:  # fewer than b unread bits under the leading 1
                         avail = buf.bit_length() - 1
-                        buf = buf ^ (1 << avail) | refill() << avail
+                        buf = buf ^ (1 << avail) | fetch(_SHUFFLE_WORDS) << avail
                     j = buf & mask
                     buf >>= b
                     if j <= i:

@@ -41,7 +41,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
-from .bitstream import BitSource, fisher_yates
+from .bitstream import _CHUNK_BITS, BitSource, fisher_yates
 from .errors import DomainTooSmallError, LimitExceededError
 from .tree import PlanarTree
 from .words import LukasiewiczWord, _place_blocks, to_lukasiewicz
@@ -114,10 +114,14 @@ def _draw_letters(source: BitSource, left: list[int], total: int, count: int) ->
     scale and room = cum[s+1] * scale - low * total for the candidate segment
     s.  The interval fits in s, (low + 1) * total <= cum[s+1] * scale, exactly
     when room >= total.  The bits are read from a local copy of the source's
-    buffer (see :class:`~lukatree.bitstream.BitSource`).
+    buffer, and when it runs dry the next 16-bit chunk is popped off the
+    source's queue directly (see :class:`~lukatree.bitstream.BitSource`).
+    An empty queue raises IndexError, once per 64 chunks; ``_refill`` then
+    fills it and pops.  ``_queued`` is resynced on exit.
     """
     buf = source._buf
-    refill = source._refill
+    queue = source._queue
+    pop = queue.pop
     word = []
     try:
         for total in range(total, total - count, -1):  # the pool's size at each draw
@@ -131,7 +135,10 @@ def _draw_letters(source: BitSource, left: list[int], total: int, count: int) ->
                 room <<= 1
                 scale <<= 1
                 if buf == 1:
-                    buf = refill()
+                    try:
+                        buf = pop()
+                    except IndexError:
+                        buf = source._refill()
                 if buf & 1:
                     room -= total
                     while room <= 0:
@@ -142,6 +149,7 @@ def _draw_letters(source: BitSource, left: list[int], total: int, count: int) ->
             word.append(s)
     finally:
         source._buf = buf
+        source._queued = _CHUNK_BITS * len(queue)
     return word
 
 

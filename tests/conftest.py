@@ -34,11 +34,12 @@ class Exhausted(Exception):
 class ReplayBitSource:
     """BitSource stand-in that plays back a fixed bit sequence.
 
-    It keeps BitSource's bulk-reader protocol with one-bit chunks: `_refill`
-    returns the next scripted bit under a leading 1, so the library's loops
-    that read `_buf` directly play the script one bit at a time too, and the
+    It keeps BitSource's bulk-reader protocol with one-bit chunks and an
+    always-empty `_queue`: `_fetch` and `_refill` both return the next
+    scripted bit under a leading 1, so the library's loops that read `_buf`
+    or pop `_queue` directly play the script one bit at a time too, and the
     first bit past its end raises Exhausted wherever it is read.  Those loops
-    fetch a chunk only when they need its bit, so `_buf` is empty again
+    take fresh bits only when they need them, so `_buf` is empty again
     whenever a public call reads the script.
     """
 
@@ -46,10 +47,15 @@ class ReplayBitSource:
         self.bits = bits
         self.pos = 0
         self._buf = 1
+        self._queue: list[int] = []
+        self._queued = 0
 
     @property
     def bits_consumed(self) -> int:
         return self.pos - (self._buf.bit_length() - 1)
+
+    def _fetch(self, m: int) -> int:
+        return 2 | self.next_bit()
 
     def _refill(self) -> int:
         return 2 | self.next_bit()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from lukatree import (
     tuple_to_valid_word,
     uniform_int,
 )
+from lukatree.bitstream import _cut
 
 
 def test_determinism_and_bit_values():
@@ -28,14 +30,37 @@ def test_determinism_and_bit_values():
     assert BitSource(1).next_bit() == BitSource(1).next_bits(1)
 
 
+class _DefinedSource:
+    """The stream by definition, read off a list with no buffer: a test oracle.
+
+    `bits` lists the LSB-first bits of successive 64-bit words of
+    random.Random(seed mod 2^64), extended as far as reads need.
+    """
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed & (2**64 - 1))
+        self.bits = []
+        self.bits_consumed = 0
+
+    def read(self, count):
+        pos = self.bits_consumed
+        while len(self.bits) < pos + count:
+            word = self._rng.getrandbits(64)
+            self.bits.extend((word >> i) & 1 for i in range(64))
+        self.bits_consumed = pos + count
+        return self.bits[pos : pos + count]
+
+    def next_bit(self):
+        (bit,) = self.read(1)
+        return bit
+
+    def next_bits(self, count):
+        return sum(bit << i for i, bit in enumerate(self.read(count)))
+
+
 def _defined_stream(seed, count):
     """The first count bits of BitSource(seed) by definition: LSB-first 64-bit words."""
-    rng = random.Random(seed & (2**64 - 1))
-    bits = []
-    while len(bits) < count:
-        word = rng.getrandbits(64)
-        bits.extend((word >> i) & 1 for i in range(64))
-    return bits[:count]
+    return _DefinedSource(seed).read(count)
 
 
 @pytest.mark.parametrize("seed", [0, 12345, -1, 2**64 + 5])
@@ -82,12 +107,13 @@ def test_next_bits_equals_next_bit_composition():
         assert a.next_bits(32) == b.next_bits(32)
 
 
-@pytest.mark.parametrize("offset", [0, 3, 63])
+@pytest.mark.parametrize("offset", [0, 3, 15, 63])
 def test_next_bits_from_inside_the_buffer(offset):
-    # after `offset` single bits the 64-bit word buffer holds 64 - offset bits
-    # (none when offset is 0); counts on both sides of that, and multi-word
-    left = (64 - offset) % 64
-    for count in sorted({0, 1, left, left + 1, 64, 129}):
+    # after `offset` single bits the buffer holds what is left of a 16-bit
+    # chunk (nothing when offset is a multiple of 16); counts on both sides
+    # of that, across words, and across the 1024-bit refill of the queue
+    left = -offset % 16
+    for count in sorted({0, 1, left, left + 1, 64, 129, 1024 - offset, 1025 - offset}):
         a = BitSource(7)
         b = BitSource(7)
         for _ in range(offset):
@@ -99,6 +125,39 @@ def test_next_bits_from_inside_the_buffer(offset):
         assert bulk == single, (offset, count)
         assert a.bits_consumed == b.bits_consumed == offset + count
         assert [a.next_bit() for _ in range(70)] == [b.next_bit() for _ in range(70)]
+
+
+def test_next_bits_rejects_a_negative_count():
+    source = BitSource(4)
+    source.next_bits(21)
+    buf, queue, consumed = source._buf, list(source._queue), source.bits_consumed
+    with pytest.raises(DomainTooSmallError, match="-1"):
+        source.next_bits(-1)
+    assert (source._buf, source._queue, source.bits_consumed) == (buf, queue, consumed)
+    assert source.next_bits(64) == BitSource(4).next_bits(85) >> 21
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_a_wide_getrandbits_is_the_words_in_order(seed):
+    # _fetch(m) rests on this: getrandbits(64 * m) gives m getrandbits(64)
+    # words, first word lowest, and leaves the generator in the same state
+    for m in (1, 2, 4, 16):
+        wide, narrow = random.Random(seed), random.Random(seed)
+        block = wide.getrandbits(64 * m)
+        assert block == sum(narrow.getrandbits(64) << 64 * i for i in range(m))
+        assert wide.getstate() == narrow.getstate()
+
+
+def test_cut_gives_the_same_chunks_in_either_byte_order():
+    # each 16-bit chunk under its own leading 1, last chunk first; a host of
+    # the other byte order reads each chunk's 4 bytes the other way round
+    block = random.Random(5).getrandbits(1024) | 1 << 1024
+    want = [(block >> 16 * i) & 0xFFFF | 1 << 16 for i in range(63, -1, -1)]
+    native = sys.byteorder
+    other = "big" if native == "little" else "little"
+    assert _cut(block, native) == want
+    cast = _cut(block, other)
+    assert [int.from_bytes(c.to_bytes(4, native), other) for c in cast] == want
 
 
 def test_empirical_bit_mean():
@@ -225,12 +284,14 @@ def test_shuffle_matches_the_reference_shuffle(seed, skip, n):
 
 
 class _TalliedSource(BitSource):
-    """Counts the calls at both bit interfaces, and the bits handed out.
+    """Counts the calls at the public bit interfaces and at `_fetch`, and the bits handed out.
 
     Public calls and the package's bulk loops alike take their bits from
-    `_buf`, and bits enter `_buf` only through `_refill`, so the bits handed
-    out are the bits fetched less the bits still unread.  `fetched` is summed
-    from the chunks themselves, apart from BitSource's own word count.
+    `_buf` or `_queue`, and bits enter only through `_fetch`, so the bits
+    handed out are the bits fetched less the bits still queued or unread.
+    `fetched` is summed from the returned blocks themselves, and the queued
+    bits from the chunks in `_queue`, apart from BitSource's own `_words`
+    and `_queued` counters.
     """
 
     def __init__(self, seed):
@@ -240,13 +301,14 @@ class _TalliedSource(BitSource):
 
     @property
     def tally(self):
-        return self.fetched - (self._buf.bit_length() - 1)
+        queued = sum(chunk.bit_length() - 1 for chunk in self._queue)
+        return self.fetched - queued - (self._buf.bit_length() - 1)
 
-    def _refill(self):
-        self.calls["_refill"] += 1
-        chunk = super()._refill()
-        self.fetched += chunk.bit_length() - 1
-        return chunk
+    def _fetch(self, m):
+        self.calls["_fetch"] += 1
+        block = super()._fetch(m)
+        self.fetched += block.bit_length() - 1
+        return block
 
     def next_bit(self):
         self.calls["next_bit"] += 1
@@ -273,13 +335,16 @@ def test_no_hidden_entropy():
 
 @pytest.mark.parametrize("op", ["fill", "shuffle"])
 def test_bulk_loops_make_no_call_per_bit(op):
-    # at n = 10001 the word fill and the shuffle read the buffer themselves,
-    # and fetch one 64-bit word for every 64 bits they use, no earlier
+    # at n = 10001 the word fill and the shuffle read the buffer themselves;
+    # from a fresh source the fill fetches 16 words (1024 bits) for its
+    # queue and the shuffle 4 words (256 bits) for its buffer, no earlier
     source = _TalliedSource(11)
     if op == "fill":
         tuple_to_valid_word(source, (3334, 3334, 3333), motzkin_alphabet())
+        per_fetch = 1024
     else:
         fisher_yates(source, 10001)
+        per_fetch = 256
     assert source.calls["next_bit"] == source.calls["next_bits"] == 0
-    assert source.calls["_refill"] == -(-source.bits_consumed // 64)
+    assert source.calls["_fetch"] == -(-source.bits_consumed // per_fetch)
     assert source.tally == source.bits_consumed

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import lukatree
 from conftest import exact_distribution
-from test_bitstream import _reference_fisher_yates
+from test_bitstream import _DefinedSource, _reference_fisher_yates
 from lukatree import samplers, words
 from lukatree import (
     METHODS,
@@ -33,6 +33,7 @@ from lukatree import (
     serialize,
     to_lukasiewicz,
     tuple_to_valid_word,
+    uniform_int,
 )
 
 
@@ -163,6 +164,59 @@ def test_fill_next_bit_and_shuffle_interleave_on_one_source():
         assert fisher_yates(new, 77) == _reference_fisher_yates(old, 77)
         assert new.bits_consumed == old.bits_consumed
     assert new.next_bits(64) == old.next_bits(64)
+
+
+# One read by one of the six readers: ("next_bit", run length), ("next_bits",
+# count), ("uniform_int", m), ("draw", weights), ("shuffle", n) or ("fill",
+# Motzkin counts).
+_READS = st.one_of(
+    st.tuples(st.just("next_bit"), st.integers(1, 40)),
+    st.tuples(st.just("next_bits"), st.integers(0, 1000)),
+    st.tuples(st.just("uniform_int"), st.integers(1, 2**40)),
+    st.tuples(
+        st.just("draw"),
+        st.lists(st.integers(0, 50), min_size=1, max_size=6).filter(lambda v: sum(v) > 0),
+    ),
+    st.tuples(st.just("shuffle"), st.one_of(st.integers(1, 70), st.integers(70, 5000))),
+    st.tuples(
+        st.just("fill"),
+        st.tuples(st.integers(0, 150), st.integers(0, 150)).map(lambda uc: (uc[1] + 1, uc[0], uc[1])),
+    ),
+)
+
+
+def _read(source, defined, kind, arg):
+    """The value one read gives from source, and from the defined stream by the oracles."""
+    if kind == "next_bit":
+        return [source.next_bit() for _ in range(arg)], defined.read(arg)
+    if kind == "next_bits":
+        return source.next_bits(arg), defined.next_bits(arg)
+    if kind == "uniform_int":
+        return uniform_int(source, arg), uniform_int(defined, arg)
+    if kind == "draw":
+        return dichotomic_draw(source, DiscreteWeights(arg)), _reference_draw(defined, DiscreteWeights(arg))
+    if kind == "shuffle":
+        return fisher_yates(source, arg), _reference_fisher_yates(defined, arg)
+    return tuple_to_valid_word(source, arg, parse_alphabet("a:-1,b:0,c:1")), _reference_fill(defined, arg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.one_of(st.integers(-(2**64), -1), st.integers(0, 2**64 - 1), st.integers(2**64, 2**66)),
+    reads=st.lists(_READS, max_size=7),
+)
+@example(seed=-1, reads=[("next_bits", 1000), ("shuffle", 5000), ("next_bit", 3), ("fill", (101, 50, 100))])
+@example(seed=2**64 + 3, reads=[("next_bit", 5), ("fill", (3, 40, 2)), ("shuffle", 4000), ("draw", [1, 2])])
+def test_stream_is_the_same_under_any_mix_of_readers(seed, reads):
+    # every reader takes the defined stream's next bits in order, whatever
+    # came before it: the buffer, the queue and the unfetched words stay in
+    # stream order across queue refills, shuffle splices and batch ends
+    source, defined = BitSource(seed), _DefinedSource(seed)
+    for kind, arg in reads:
+        got, want = _read(source, defined, kind, arg)
+        assert got == want, (kind, arg)
+        assert source.bits_consumed == defined.bits_consumed, (kind, arg)
+    assert [source.next_bit() for _ in range(70)] == defined.read(70)
 
 
 def test_one_letter_word_costs_nothing():
