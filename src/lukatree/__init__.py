@@ -15,7 +15,6 @@ from .alphabet import (
     TreeAlphabet,
     binary_alphabet,
     format_alphabet,
-    format_tuple,
     is_f_valid,
     motzkin_alphabet,
     parse_alphabet,
@@ -65,14 +64,12 @@ from .samplers import (
 from .tree import (
     SERIALIZE_FORMATS,
     PlanarTree,
-    degree_census,
     height,
     serialize,
     word_to_tree,
 )
 from .words import (
     Classification,
-    LukasiewiczWord,
     classify,
     path_heights,
     permutation_to_valid_word,

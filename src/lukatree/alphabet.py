@@ -38,7 +38,6 @@ __all__ = [
     "parse_alphabet",
     "format_alphabet",
     "parse_tuple",
-    "format_tuple",
 ]
 
 
@@ -81,19 +80,6 @@ class TreeAlphabet:
     def k(self) -> int:
         """Number of letters."""
         return len(self.letters)
-
-    def index(self, symbol: str) -> int:
-        """0-based index of a letter symbol."""
-        try:
-            return self.letters.index(symbol)
-        except ValueError:
-            raise AlphabetError(
-                f"no letter {symbol!r} in alphabet {format_alphabet(self)}"
-            ) from None
-
-    def arity(self, letter: int) -> int:
-        """Number of children of a node labelled by letter index i (= degree + 1)."""
-        return self.degrees[letter] + 1
 
     def parse_word(self, text: str) -> tuple[int, ...]:
         """Turn a string of letter symbols into a word (tuple of letter indices)."""
@@ -222,8 +208,3 @@ def parse_tuple(text: str) -> DegreeTuple:
     except ValueError:
         raise ArityMismatchError(f"malformed counts tuple {text!r}") from None
     return DegreeTuple(counts)
-
-
-def format_tuple(t: CountsLike) -> str:
-    """Inverse of parse_tuple."""
-    return ",".join(str(c) for c in degree_counts(t))

@@ -11,7 +11,7 @@ counter difference.
 from __future__ import annotations
 
 import random
-import sys
+import struct
 
 from .errors import DomainTooSmallError
 
@@ -32,28 +32,22 @@ _CHUNK_BITS = 16
 _QUEUE_WORDS = 16
 _SHUFFLE_WORDS = 4
 _CHUNK_ONES = b"\x01" * (64 * _QUEUE_WORDS // _CHUNK_BITS)  # the leading 1 of each chunk
+_CHUNK_INTS = struct.Struct(f"<{len(_CHUNK_ONES)}I")  # little-endian on every host
 
 
-def _cut(block: int, byteorder: str) -> list[int]:
+def _cut(block: int) -> list[int]:
     """A fetched block's 16-bit chunks, each under a leading 1, last chunk first.
 
     block holds 64 * _QUEUE_WORDS bits under its leading 1.  Each chunk
-    becomes the 4-byte unsigned int ``chunk | 1 << 16``, laid out in
-    byteorder, the byte order of the host that casts the bytes back to ints.
-    The list is in reverse stream order, so ``list.pop()`` gives the next
-    chunk.
+    becomes the little-endian 4-byte unsigned int ``chunk | 1 << 16``.  The
+    list is in reverse stream order, so ``list.pop()`` gives the next chunk.
     """
     data = block.to_bytes(1 + 8 * _QUEUE_WORDS, "big")  # the leading 1, then chunk bytes, high first
     ints = bytearray(4 * len(_CHUNK_ONES))
-    if byteorder == "little":
-        ints[0::4] = data[2::2]  # low byte of each chunk
-        ints[1::4] = data[1::2]  # high byte
-        ints[2::4] = _CHUNK_ONES
-    else:
-        ints[1::4] = _CHUNK_ONES
-        ints[2::4] = data[1::2]
-        ints[3::4] = data[2::2]
-    return memoryview(ints).cast("I").tolist()
+    ints[0::4] = data[2::2]  # low byte of each chunk
+    ints[1::4] = data[1::2]  # high byte
+    ints[2::4] = _CHUNK_ONES
+    return list(_CHUNK_INTS.unpack(ints))
 
 
 class BitSource:
@@ -74,34 +68,33 @@ class BitSource:
     - ``_buf``: the bits being read, under a leading 1, so ``_buf == 1`` means
       it is empty and it holds ``_buf.bit_length() - 1`` bits;
     - ``_queue``: 16-bit chunks, each under its own leading 1, in reverse
-      order; ``_queued`` counts their bits.
+      order.
 
     ``_refill()`` pops the next chunk off the queue, cutting 16 fresh words
     into 64 chunks when it is empty.  Every bit fetched is therefore handed
     out, queued or in ``_buf``, and ``bits_consumed`` is exact:
-    ``64 * _words - _queued - (_buf.bit_length() - 1)``.
+    ``64 * _words - 16 * len(_queue) - (_buf.bit_length() - 1)``.
 
     Bulk readers inside the package (the word fill and the shuffle) skip the
     method call per bit: they copy ``_buf`` into a local, read and shift it,
     take fresh bits above the unread ones only when they need them, and write
     the local back to ``_buf`` in a ``finally``.  The fill pops ``_queue``
-    itself and resyncs ``_queued`` on exit; the shuffle splices the queued
-    chunks into its local once, then ``_fetch``-es 4 words at a time.
+    itself; the shuffle splices the queued chunks into its local once, then
+    ``_fetch``-es 4 words at a time.
     """
 
-    __slots__ = ("_rng", "_buf", "_words", "_queue", "_queued")
+    __slots__ = ("_rng", "_buf", "_words", "_queue")
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed & _MASK64)
         self._buf = 1
         self._words = 0
         self._queue: list[int] = []
-        self._queued = 0
 
     @property
     def bits_consumed(self) -> int:
         """Bits handed out so far."""
-        return 64 * self._words - self._queued - (self._buf.bit_length() - 1)
+        return 64 * self._words - _CHUNK_BITS * len(self._queue) - (self._buf.bit_length() - 1)
 
     def _fetch(self, m: int) -> int:
         """The next m 64-bit words, first word lowest, under a leading 1; counts them."""
@@ -113,8 +106,7 @@ class BitSource:
         """The next 16-bit chunk of the stream under a leading 1, off the queue."""
         queue = self._queue
         if not queue:
-            queue += _cut(self._fetch(_QUEUE_WORDS), sys.byteorder)
-        self._queued = _CHUNK_BITS * (len(queue) - 1)
+            queue += _cut(self._fetch(_QUEUE_WORDS))
         return queue.pop()
 
     def next_bit(self) -> int:
@@ -132,10 +124,14 @@ class BitSource:
         buf = self._buf
         avail = buf.bit_length() - 1
         if avail < count:
-            refill = self._refill
-            while avail < count:  # fresh chunks go above the unread bits
-                buf = buf ^ (1 << avail) | refill() << avail
-                avail = buf.bit_length() - 1
+            # queued chunks, then whole fresh words in one fetch, go above
+            # the unread bits, so a long read takes time linear in count
+            queue = self._queue
+            while queue and avail < count:
+                buf = buf ^ (1 << avail) | queue.pop() << avail
+                avail += _CHUNK_BITS
+            if avail < count:
+                buf = buf ^ (1 << avail) | self._fetch((count - avail + 63) // 64) << avail
         self._buf = buf >> count
         return buf & ((1 << count) - 1)
 
@@ -186,7 +182,6 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
         while queue:
             avail = buf.bit_length() - 1
             buf = buf ^ (1 << avail) | queue.pop() << avail
-        source._queued = 0
         # positions i in 2^(b-1)+1 .. 2^b all draw b-bit blocks
         for b in range((n - 1).bit_length(), 0, -1):
             top = 1 << b

@@ -18,7 +18,6 @@ from typing import Iterator, Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
 from .errors import LimitExceededError
-from .words import LukasiewiczWord
 
 __all__ = [
     "valid_word_count",
@@ -96,7 +95,7 @@ def _arrangements(
 
 def enumerate_lukasiewicz(
     t: CountsLike, alphabet: TreeAlphabet, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> list[LukasiewiczWord]:
+) -> list[tuple[int, ...]]:
     """All Lukasiewicz words with letter counts t, lexicographic by letter index.
 
     Refuses tuples with total above `limit` (default 12): the output grows
@@ -109,10 +108,7 @@ def enumerate_lukasiewicz(
             f"tuple total {n} exceeds enumeration limit {limit}; raise `limit` "
             "explicitly if you really want exhaustion"
         )
-    return [
-        LukasiewiczWord(w)
-        for w in _arrangements(counts, alphabet.degrees, prune_prefix=True)
-    ]
+    return list(_arrangements(counts, alphabet.degrees, prune_prefix=True))
 
 
 def enumerate_valid_words(

@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
-from .bitstream import _CHUNK_BITS, BitSource, fisher_yates
+from .bitstream import BitSource, fisher_yates
 from .errors import DomainTooSmallError, LimitExceededError
 from .tree import PlanarTree
-from .words import LukasiewiczWord, _place_blocks, to_lukasiewicz
+from .words import _place_blocks, to_lukasiewicz
 
 __all__ = [
     "DiscreteWeights",
@@ -60,10 +59,9 @@ METHODS = ("dichotomic", "permutation")
 
 
 class DiscreteWeights:
-    """Non-negative integer weights.
+    """Non-negative integer weights, held in the public `weights` list.
 
-    `total` and `cumulative` (k+1 entries from 0 to the total) are derived
-    on each read, so they follow any edit of the public `weights` list, and
+    The draw reads the list itself, so it follows any edit of it, and
     `decrement(i)` is O(1).
     """
 
@@ -77,23 +75,11 @@ class DiscreteWeights:
             raise DomainTooSmallError("total weight must be at least 1")
         self.weights = ws
 
-    @property
-    def k(self) -> int:
-        return len(self.weights)
-
-    @property
-    def total(self) -> int:
-        return sum(self.weights)
-
-    @property
-    def cumulative(self) -> list[int]:
-        return list(accumulate(self.weights, initial=0))
-
     def decrement(self, index: int) -> None:
         """Take one unit of weight off index (it must have some left).
 
-        index must lie in 0..k-1: a negative one would silently hit a weight
-        counted from the end.  A weight's domain is the integers >= 0, so an
+        index must be a position in weights: a negative one would silently hit
+        a weight counted from the end.  A weight's domain is the integers >= 0, so an
         exhausted weight would drop below it: DomainTooSmallError, as for a
         negative weight given.
         """
@@ -117,11 +103,11 @@ def _draw_letters(source: BitSource, left: list[int], total: int, count: int) ->
     buffer, and when it runs dry the next 16-bit chunk is popped off the
     source's queue directly (see :class:`~lukatree.bitstream.BitSource`).
     An empty queue raises IndexError, once per 64 chunks; ``_refill`` then
-    fills it and pops.  ``_queued`` is resynced on exit.
+    fills it and pops.  The source counts the queued bits from the queue's
+    length, so the loop keeps no count of its own.
     """
     buf = source._buf
-    queue = source._queue
-    pop = queue.pop
+    pop = source._queue.pop
     word = []
     try:
         for total in range(total, total - count, -1):  # the pool's size at each draw
@@ -149,7 +135,6 @@ def _draw_letters(source: BitSource, left: list[int], total: int, count: int) ->
             word.append(s)
     finally:
         source._buf = buf
-        source._queued = _CHUNK_BITS * len(queue)
     return word
 
 
@@ -204,7 +189,7 @@ def sample_lukasiewicz_word(
     t: CountsLike,
     alphabet: TreeAlphabet,
     method: str = "dichotomic",
-) -> LukasiewiczWord:
+) -> tuple[int, ...]:
     """Uniform Lukasiewicz word with letter counts t, by either pipeline.
 
     The counts are checked before any bit is read: they must be f-valid, and

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .alphabet import DegreeTuple, TreeAlphabet
+from .alphabet import TreeAlphabet
 from .errors import NotAValidWordError
 from .words import path_heights
 
@@ -22,7 +22,6 @@ __all__ = [
     "PlanarTree",
     "word_to_tree",
     "height",
-    "degree_census",
     "serialize",
     "SERIALIZE_FORMATS",
 ]
@@ -42,10 +41,6 @@ class PlanarTree:
 
     alphabet: TreeAlphabet
     letters: list[int]
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -108,14 +103,6 @@ def height(tree: PlanarTree) -> int:
     return best
 
 
-def degree_census(tree: PlanarTree) -> DegreeTuple:
-    """How many nodes carry each letter; always f-valid for a real tree."""
-    counts = [0] * tree.alphabet.k
-    for letter in tree.letters:
-        counts[letter] += 1
-    return DegreeTuple(tuple(counts))
-
-
 def serialize(tree: PlanarTree, fmt: str = "paren") -> str:
     """Render the tree as text.
 
@@ -133,27 +120,27 @@ def serialize(tree: PlanarTree, fmt: str = "paren") -> str:
 
 
 def _paren(tree: PlanarTree) -> str:
+    # one pass over the word: each open node counts its children still to
+    # come, and a leaf closes every node it was the last child of
     symbols = tree.alphabet.letters
-    letters = tree.letters
-    children = tree.children
+    degrees = tree.alphabet.degrees
     parts: list[str] = []
-    # tokens are either ("node", index) or ("text", literal); LIFO order
-    stack: list[tuple[str, object]] = [("node", 0)]
-    while stack:
-        kind, payload = stack.pop()
-        if kind == "text":
-            parts.append(payload)  # type: ignore[arg-type]
-            continue
-        node = payload  # type: ignore[assignment]
-        parts.append(symbols[letters[node]])
-        kids = children[node]
+    put = parts.append
+    to_come: list[int] = []
+    for letter in tree.letters:
+        put(symbols[letter])
+        kids = degrees[letter] + 1
         if kids:
-            parts.append("(")
-            stack.append(("text", ")"))
-            for pos in range(len(kids) - 1, -1, -1):
-                stack.append(("node", kids[pos]))
-                if pos > 0:
-                    stack.append(("text", ","))
+            put("(")
+            to_come.append(kids)
+            continue
+        while to_come:
+            to_come[-1] -= 1
+            if to_come[-1]:
+                put(",")
+                break
+            to_come.pop()
+            put(")")
     return "".join(parts)
 
 

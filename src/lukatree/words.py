@@ -28,7 +28,6 @@ from .errors import ArityMismatchError, NotAPermutationError, NotAValidWordError
 
 __all__ = [
     "Classification",
-    "LukasiewiczWord",
     "path_heights",
     "classify",
     "rotation_index",
@@ -44,16 +43,6 @@ class Classification(enum.Enum):
     LUKASIEWICZ = "lukasiewicz"
     VALID_NOT_LUKASIEWICZ = "valid,not-lukasiewicz"
     INVALID = "invalid"
-
-
-class LukasiewiczWord(tuple):
-    """A word certified to be Lukasiewicz by one of the constructors here.
-
-    It behaves exactly like the tuple of letter indices it is; the subclass
-    only records that the certificate was checked.
-    """
-
-    __slots__ = ()
 
 
 def path_heights(word: Sequence[int], alphabet: TreeAlphabet) -> list[int]:
@@ -96,7 +85,7 @@ def rotation_index(word: Sequence[int], alphabet: TreeAlphabet) -> int:
     return path.index(min(path)) + 1
 
 
-def to_lukasiewicz(word: Sequence[int], alphabet: TreeAlphabet) -> LukasiewiczWord:
+def to_lukasiewicz(word: Sequence[int], alphabet: TreeAlphabet) -> tuple[int, ...]:
     """The unique cyclic rotation of a valid word that is Lukasiewicz.
 
     With l = rotation_index(word), the result is w_{l+1} .. w_n w_1 .. w_l.
@@ -104,7 +93,7 @@ def to_lukasiewicz(word: Sequence[int], alphabet: TreeAlphabet) -> LukasiewiczWo
     """
     ell = rotation_index(word, alphabet)
     w = tuple(word)
-    return LukasiewiczWord(w[ell:] + w[:ell])
+    return w[ell:] + w[:ell]
 
 
 def rotations_that_are_lukasiewicz(word: Sequence[int], alphabet: TreeAlphabet) -> int:

@@ -48,7 +48,6 @@ class ReplayBitSource:
         self.pos = 0
         self._buf = 1
         self._queue: list[int] = []
-        self._queued = 0
 
     @property
     def bits_consumed(self) -> int:

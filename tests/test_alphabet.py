@@ -8,7 +8,6 @@ from lukatree import (
     TupleNotValidError,
     binary_alphabet,
     format_alphabet,
-    format_tuple,
     is_f_valid,
     motzkin_alphabet,
     parse_alphabet,
@@ -22,7 +21,6 @@ def test_standard_alphabets():
     assert A.letters == ("a", "b", "c")
     assert A.degrees == (-1, 0, 1)
     assert A.k == 3
-    assert [A.arity(i) for i in range(3)] == [0, 1, 2]
     B = binary_alphabet()
     assert B.degrees == (-1, 1)
     assert B.k == 2
@@ -67,8 +65,6 @@ def test_tuple_text_form_round_trip():
     t = parse_tuple("3,1,2")
     assert t == DegreeTuple((3, 1, 2))
     assert t.total == 6
-    assert format_tuple(t) == "3,1,2"
-    assert format_tuple((3, 1, 2)) == "3,1,2"
     with pytest.raises(ArityMismatchError):
         parse_tuple("3,,2")
     with pytest.raises(ArityMismatchError):
@@ -82,9 +78,6 @@ def test_word_text_form(motzkin):
     assert motzkin.parse_word("") == ()
     with pytest.raises(ArityMismatchError):
         motzkin.parse_word("caz")
-    with pytest.raises(AlphabetError, match="no letter 'z'"):
-        motzkin.index("z")
-    assert motzkin.index("b") == 1
 
 
 def test_is_f_valid(motzkin, binary):

@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -127,6 +126,24 @@ def test_next_bits_from_inside_the_buffer(offset):
         assert [a.next_bit() for _ in range(70)] == [b.next_bit() for _ in range(70)]
 
 
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_a_long_read_fetches_once(seed):
+    # beyond the unread and queued bits, next_bits takes whole words in one
+    # _fetch instead of one queued chunk at a time
+    source = _TalliedSource(seed)
+    assert source.next_bits(10**5) == _DefinedSource(seed).next_bits(10**5)
+    assert source.calls["_fetch"] == 1
+    assert source.bits_consumed == source.tally == 10**5
+    defined = _DefinedSource(seed)
+    defined.read(10**5)
+    assert source.next_bits(1000) == defined.next_bits(1000)
+    # from inside a chunk, the queue is drained before the one fetch
+    source = _TalliedSource(seed)
+    source.next_bit()
+    assert source.next_bits(10**5) == _DefinedSource(seed).next_bits(10**5 + 1) >> 1
+    assert source.calls["_fetch"] == 2 and not source._queue
+
+
 def test_next_bits_rejects_a_negative_count():
     source = BitSource(4)
     source.next_bits(21)
@@ -148,16 +165,14 @@ def test_a_wide_getrandbits_is_the_words_in_order(seed):
         assert wide.getstate() == narrow.getstate()
 
 
-def test_cut_gives_the_same_chunks_in_either_byte_order():
-    # each 16-bit chunk under its own leading 1, last chunk first; a host of
-    # the other byte order reads each chunk's 4 bytes the other way round
-    block = random.Random(5).getrandbits(1024) | 1 << 1024
+@pytest.mark.parametrize(
+    "bits", [random.Random(5).getrandbits(1024), 0, 2**1024 - 1], ids=["random", "zeros", "ones"]
+)
+def test_cut_splits_a_block_into_its_chunks(bits):
+    # each 16-bit chunk under its own leading 1, last chunk first
+    block = bits | 1 << 1024
     want = [(block >> 16 * i) & 0xFFFF | 1 << 16 for i in range(63, -1, -1)]
-    native = sys.byteorder
-    other = "big" if native == "little" else "little"
-    assert _cut(block, native) == want
-    cast = _cut(block, other)
-    assert [int.from_bytes(c.to_bytes(4, native), other) for c in cast] == want
+    assert _cut(block) == want
 
 
 def test_empirical_bit_mean():
@@ -291,7 +306,7 @@ class _TalliedSource(BitSource):
     handed out are the bits fetched less the bits still queued or unread.
     `fetched` is summed from the returned blocks themselves, and the queued
     bits from the chunks in `_queue`, apart from BitSource's own `_words`
-    and `_queued` counters.
+    counter.
     """
 
     def __init__(self, seed):

@@ -10,6 +10,8 @@ import pytest
 
 import lukatree
 
+ROOT = Path(__file__).resolve().parents[1]
+
 MODULES = sorted(
     info.name
     for info in pkgutil.iter_modules(lukatree.__path__, "lukatree.")
@@ -52,3 +54,53 @@ def test_every_domain_error_is_raised():
                     raised.add(exc.id)
     unused = [name for name in errors.__all__ if name != "LukatreeError" and name not in raised]
     assert unused == []
+
+
+# public names that no code outside the tests reads, each kept for a reason
+UNREAD_BY_DESIGN = {
+    # the shuffle's rejection step is tested against it
+    "uniform_int",
+}
+
+
+def _loaded_names(path):
+    """Names a file loads, as bare names or attributes.
+
+    Loads inside a top-level statement that defines the same name (its def,
+    class or assignment) do not count.
+    """
+    loaded = set()
+    for stmt in ast.parse(path.read_text()).body:
+        own = set()
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            own.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if name not in own:
+                loaded.add(name)
+    return loaded
+
+
+def test_every_public_name_has_a_reader():
+    # a name in some __all__ that only the tests read is a dead export
+    readers = [
+        *(p for p in Path(lukatree.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+        *ROOT.glob("demos/*.py"),
+        *(p for p in ROOT.glob("benchmarks/*.py") if not p.name.startswith("test_")),
+    ]
+    loaded = set().union(*map(_loaded_names, readers))
+    unread = [
+        f"{name}.{entry}"
+        for name in MODULES
+        for entry in getattr(importlib.import_module(name), "__all__", ())
+        if entry not in loaded and entry not in UNREAD_BY_DESIGN
+    ]
+    assert unread == []

@@ -20,7 +20,6 @@ from lukatree import (
     LimitExceededError,
     TreeAlphabet,
     TupleNotValidError,
-    degree_census,
     dichotomic_draw,
     enumerate_lukasiewicz,
     fisher_yates,
@@ -39,11 +38,9 @@ from lukatree import (
 
 def test_discrete_weights_basics():
     w = DiscreteWeights((3, 0, 2))
-    assert w.k == 3 and w.total == 5
-    assert w.cumulative == [0, 3, 3, 5]
+    assert w.weights == [3, 0, 2]
     w.decrement(0)
     assert w.weights == [2, 0, 2]
-    assert w.cumulative == [0, 2, 2, 4]
 
 
 def test_total_follows_an_edit_of_the_weights():
@@ -51,7 +48,6 @@ def test_total_follows_an_edit_of_the_weights():
     w.weights[1] = 0
     source = BitSource(0)
     assert [dichotomic_draw(source, w) for _ in range(64)] == [0] * 64
-    assert w.total == 1
 
 
 def test_discrete_weights_validation():
@@ -71,8 +67,7 @@ def test_decrement_rejects_an_index_outside_the_weights(index):
     w = DiscreteWeights((2, 1, 1))
     with pytest.raises(IndexError, match=str(index)):
         w.decrement(index)
-    assert w.weights == [2, 1, 1] and w.total == 4
-    assert w.cumulative == [0, 2, 3, 4]
+    assert w.weights == [2, 1, 1]
 
 
 def _reference_draw(source, weights):
@@ -81,7 +76,9 @@ def _reference_draw(source, weights):
     Kept as a test oracle for the room-tracking loop, which must return the
     same index after reading the same bits.
     """
-    cum = weights.cumulative
+    cum = [0]
+    for w in weights.weights:
+        cum.append(cum[-1] + w)
     total = cum[-1]
     next_bit = source.next_bit
     low = depth = 0
@@ -294,7 +291,7 @@ def test_dichotomic_law_is_exact():
             lambda src: dichotomic_draw(src, DiscreteWeights(ws)), max_depth=25
         )
         assert residual < Fraction(1, 10**6)
-        total = weights.total
+        total = sum(ws)
         for i, w in enumerate(ws):
             assert abs(probs.get(i, Fraction(0)) - Fraction(w, total)) <= residual
 
@@ -350,7 +347,7 @@ def test_sample_tree_properties(motzkin):
     for method in ("dichotomic", "permutation"):
         source = BitSource(99)
         tree = sample_tree(source, t, motzkin, method=method)
-        assert degree_census(tree) == t
+        assert tuple(tree.letters.count(i) for i in range(motzkin.k)) == t.counts
         again = sample_tree(BitSource(99), t, motzkin, method=method)
         assert tree.letters == again.letters and tree.children == again.children
     with pytest.raises(ValueError):
@@ -468,14 +465,15 @@ def test_draw_lands_on_positive_weight(ws, seed):
     ws=st.lists(st.integers(1, 4), min_size=1, max_size=5),
     picks=st.lists(st.integers(0, 4), max_size=8),
 )
-def test_decrement_keeps_cumulative_consistent(ws, picks):
+def test_decrement_takes_one_off_the_picked_weight(ws, picks):
     weights = DiscreteWeights(ws)
+    expected = list(ws)
     for pick in picks:
-        index = pick % weights.k
-        if weights.weights[index] == 0 or weights.total == 1:
-            continue
-        weights.decrement(index)
-        rebuilt = [0]
-        for w in weights.weights:
-            rebuilt.append(rebuilt[-1] + w)
-        assert weights.cumulative == rebuilt
+        index = pick % len(ws)
+        if expected[index] == 0:
+            with pytest.raises(DomainTooSmallError):
+                weights.decrement(index)
+        else:
+            weights.decrement(index)
+            expected[index] -= 1
+        assert weights.weights == expected

@@ -1,10 +1,12 @@
+import sys
+
 import pytest
 
 from lukatree import (
     ArityMismatchError,
     DegreeTuple,
     NotAValidWordError,
-    degree_census,
+    TreeAlphabet,
     enumerate_lukasiewicz,
     height,
     serialize,
@@ -14,7 +16,7 @@ from lukatree import (
 
 def test_single_leaf(motzkin):
     tree = word_to_tree((0,), motzkin)
-    assert tree.n == 1 and len(tree) == 1
+    assert len(tree) == 1
     assert tree.letters == [0] and tree.children == [[]]
     assert height(tree) == 0
     assert serialize(tree, "paren") == "a"
@@ -26,7 +28,7 @@ def test_decode_worked_example(motzkin):
     assert tree.letters == [2, 0, 2, 1, 0, 1, 0]
     assert tree.children == [[1, 2], [], [3, 5], [4], [], [6], []]
     assert height(tree) == 3
-    assert degree_census(tree) == DegreeTuple((3, 2, 2))
+    assert tuple(tree.letters.count(i) for i in range(motzkin.k)) == (3, 2, 2)
     assert tree.letters == list(word)
 
 
@@ -100,7 +102,7 @@ def _preorder_letters(tree):
     while stack:
         node = stack.pop()
         letter = tree.letters[node]
-        assert len(tree.children[node]) == tree.alphabet.arity(letter)
+        assert len(tree.children[node]) == tree.alphabet.degrees[letter] + 1
         out.append(letter)
         stack.extend(reversed(tree.children[node]))
     return out
@@ -130,6 +132,36 @@ def test_deep_caterpillar_does_not_recurse(motzkin):
     assert serialize(tree, "luka") == "b" * 5000 + "a"
 
 
+def _paren_by_recursion(tree, node=0):
+    symbol = tree.alphabet.letters[tree.letters[node]]
+    kids = tree.children[node]
+    if not kids:
+        return symbol
+    return symbol + "(" + ",".join([_paren_by_recursion(tree, kid) for kid in kids]) + ")"
+
+
+def test_paren_matches_recursive_rendering(motzkin, binary):
+    four = TreeAlphabet(("a", "b", "c", "d"), (-1, 0, 1, 2))
+    for alphabet, tuples in (
+        (motzkin, ((1, 0, 0), (2, 1, 1), (3, 2, 2), (4, 1, 3))),
+        (binary, ((4, 3),)),
+        (four, ((3, 1, 0, 1), (4, 0, 1, 1), (3, 1, 2, 0))),
+    ):
+        for counts in tuples:
+            for word in enumerate_lukasiewicz(DegreeTuple(counts), alphabet):
+                tree = word_to_tree(word, alphabet)
+                assert serialize(tree, "paren") == _paren_by_recursion(tree)
+    # the 5000-deep caterpillar: the oracle needs a raised recursion limit
+    tree = word_to_tree(motzkin.parse_word("b" * 5000 + "a"), motzkin)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 12_000))
+    try:
+        expected = _paren_by_recursion(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert serialize(tree, "paren") == expected == "b(" * 5000 + "a" + ")" * 5000
+
+
 def test_round_trip_exhaustive(motzkin, binary):
     for alphabet, tuples in (
         (motzkin, ((2, 1, 1), (3, 0, 2), (4, 1, 3))),
@@ -141,4 +173,4 @@ def test_round_trip_exhaustive(motzkin, binary):
                 tree = word_to_tree(word, alphabet)
                 assert tuple(tree.letters) == tuple(word)
                 assert _preorder_letters(tree) == list(word)
-                assert degree_census(tree) == DegreeTuple(counts)
+                assert tuple(tree.letters.count(i) for i in range(alphabet.k)) == counts
