@@ -14,21 +14,33 @@ pipelines; what this engine does not model is the fair-bit cost, so every
 bit-counting claim in the package is measured on the scalar side.  Rotation
 to the Lukasiewicz representative is the array form of the scalar cycle
 lemma.  Heights come from the height process of the Lukasiewicz path, run on
-all rows at once; :func:`lukatree.experiments.run_height_scan` measures the
-scalar engine's trees with it too, so the package has one height recurrence.
-Rotation and heights are cross-checked against the scalar code in the tests,
-word for word.
+all rows at once.  Rotation and heights are cross-checked against the scalar
+code in the tests, word for word.
 
-All three functions run position by position: a Python loop over the n
-letter positions, each step a few numpy calls on contiguous length-reps
-rows, one entry per replicate.  They hold the words position-major, as an
-(n, reps) int8 array whose row pos is letter pos of every replicate, and
-hand them out as its (reps, n) transposed view, so word r is still row r.
-Nothing else of n x reps size is built: the lattice paths are never stored,
-only each replicate's current level.
+Three private helpers do the work, each once: the lowest-key walk finds each
+row's rotation point (and, if asked, its path's level range), the rotation
+gather reads each position's letters of the rotation straight from the
+words, and the height recurrence measures the rows it is given.
+:func:`batch_rotate` is the walk and the gather into a new array, and
+:func:`batch_heights` checks its rows and runs the recurrence on them; the
+scalar engine of :func:`lukatree.experiments.run_height_scan` measures its
+trees with it.  The batch engine measures through :func:`_rotated_heights`,
+which runs the walk and then the recurrence on the gathered rows, so the
+rotated words are never stored.
+
+Everything runs position by position: a Python loop over the n letter
+positions, each step a few numpy calls on contiguous length-reps rows, one
+entry per replicate.  The words are held position-major, as an (n, reps)
+int8 array whose row pos is letter pos of every replicate, and handed out
+as its (reps, n) transposed view, so word r is still row r.  Nothing else of
+n x reps size is built but batch_rotate's result: the lattice paths are
+never stored, only each replicate's current level.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -83,6 +95,79 @@ def batch_valid_words(
     return words.T
 
 
+def _lowest_keys(
+    wT: np.ndarray, degrees: tuple[int, ...], highest: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Walk the position-major words' paths: final, lowest and highest keys.
+
+    key = level * 2^32 + (pos + 1) after the step at pos, so the running
+    minimum of the key is the lowest level, first reached at the smallest
+    pos, and its low 32 bits are that pos + 1; key >> 32 is the level.  The
+    final key holds each path's last level.  With highest, the running
+    maximum from the start's key 0 gives the highest level, S_0 = 0 included.
+    Levels stay within +-n for the words of a tree census and must fit in
+    int32.
+    """
+    n, reps = wT.shape
+    lut = np.asarray(degrees, dtype=np.int64) << 32
+    lut += 1
+    key = np.zeros(reps, dtype=np.int64)
+    low = np.full(reps, np.iinfo(np.int64).max)
+    high = np.zeros(reps, dtype=np.int64) if highest else None
+    for pos in range(n):
+        key += lut.take(wT[pos])
+        np.minimum(low, key, out=low)
+        if highest:
+            np.maximum(high, key, out=high)
+    return key, low, high
+
+
+def _rotated_rows(
+    wT: np.ndarray, low: np.ndarray, rows: Iterable[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Gather each position's letters of the rotation into the next of rows, yielding it.
+
+    The rotation starts at ell, the low 32 bits of the row's lowest key, so
+    its letter pos is letter (ell + pos) mod n of the word; take's wrap mode
+    reduces the flat index modulo n * reps.
+    """
+    reps = wT.shape[1]
+    at = (low & 0xFFFFFFFF) * reps
+    at += np.arange(reps)
+    flat = wT.reshape(-1)
+    for row in rows:
+        flat.take(at, out=row, mode="wrap")
+        at += reps
+        yield row
+
+
+def _heights(rows: Iterable[np.ndarray], lut: np.ndarray, reps: int, width: int) -> np.ndarray:
+    """Height of each replicate from its Lukasiewicz word's letters, one position per row.
+
+    Node m of the preorder sits at depth H_m = #{j < m : S_j = min S_j..S_m},
+    the height process of the path S_j = degree sum of the first j letters.
+    No degree is below -1, so a leaf at level S_m closes exactly the open
+    nodes opened at that level; a per-row count of open nodes by level, for
+    levels 0 .. width - 1, is all the state needed, for arities of any size.
+    Depths and counts are int32, so n must be below 2^31.
+    """
+    opened = np.zeros(reps * width, dtype=np.int32)  # open nodes by (row, level)
+    cell = np.arange(reps) * width  # flat index of (row, level before the step); S_0 = 0
+    depth = np.zeros(reps, dtype=np.int32)
+    best = np.zeros(reps, dtype=np.int32)
+    for row in rows:
+        step = lut.take(row)
+        np.maximum(best, depth, out=best)
+        here = opened.take(cell)
+        now = here + 1
+        now *= step >= 0  # a node opens here (+1), or a leaf closes all of them
+        depth += now
+        depth -= here
+        opened[cell] = now
+        cell += step
+    return best
+
+
 def batch_rotate(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     """Rotate each row just past the first minimum of its path (cycle lemma).
 
@@ -90,28 +175,11 @@ def batch_rotate(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     is the transposed view of a position-major (n, reps) array, like the
     dichotomic words; a row-major input is transposed into that layout first.
     """
-    reps, n = words.shape
     wT = np.ascontiguousarray(words.T)
-    # key = level * 2^32 + (pos + 1) after the step at pos, so the running
-    # minimum of the key is the lowest level, first reached at the smallest
-    # pos, and its low 32 bits are that pos + 1.  Levels stay within +-n for
-    # the words of a tree census and must fit in int32.
-    lut = np.asarray(degrees, dtype=np.int64) << 32
-    lut += 1
-    key = np.zeros(reps, dtype=np.int64)
-    low = np.full(reps, np.iinfo(np.int64).max)
-    for pos in range(n):
-        key += lut.take(wT[pos])
-        np.minimum(low, key, out=low)
-    # letter pos of the rotation is letter (ell + pos) mod n of the word, and
-    # take's wrap mode reduces the flat index modulo n * reps
-    at = (low & 0xFFFFFFFF) * reps
-    at += np.arange(reps)
-    flat = wT.reshape(-1)
-    out = np.empty((n, reps), dtype=words.dtype)
-    for pos in range(n):
-        flat.take(at, out=out[pos], mode="wrap")
-        at += reps
+    _, low, _ = _lowest_keys(wT, degrees)
+    out = np.empty(wT.shape, dtype=words.dtype)
+    for _ in _rotated_rows(wT, low, out):
+        pass
     return out.T
 
 
@@ -121,15 +189,10 @@ def batch_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     A row that is not a Lukasiewicz word raises NotAValidWordError, naming
     the first such row.
 
-    Node m of the preorder sits at depth H_m = #{j < m : S_j = min S_j..S_m},
-    the height process of the path S_j = degree sum of the first j letters.
-    No degree is below -1, so a leaf at level S_m closes exactly the open
-    nodes opened at that level; a per-row count of open nodes by level is
-    all the state needed, for arities of any size.  Like batch_rotate, the
-    rows are walked one position at a time: a first pass finds the highest
-    level, which sizes the counts, and the lowest level before the last
-    letter, which with the final level checks each path; a second runs the
-    recurrence.  Depths and counts are int32, so n must be below 2^31.
+    Like batch_rotate, the rows are walked one position at a time: a first
+    pass finds the highest level, which sizes the counts, and the lowest
+    level before the last letter, which with the final level checks each
+    path; a second runs the height recurrence of :func:`_heights`.
     """
     reps, n = words.shape
     wT = np.ascontiguousarray(words.T)
@@ -151,19 +214,32 @@ def batch_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
         else:
             why = f"its path ends at level {level[row]}, not -1"
         raise NotAValidWordError(f"row {row} is not a Lukasiewicz word: {why}")
-    width = int(top.max(initial=0)) + 1
-    opened = np.zeros(reps * width, dtype=np.int32)  # open nodes by (row, level)
-    cell = np.arange(reps) * width  # flat index of (row, level before the step); S_0 = 0
-    depth = np.zeros(reps, dtype=np.int32)
-    best = np.zeros(reps, dtype=np.int32)
-    for pos in range(n):
-        step = lut.take(wT[pos])
-        np.maximum(best, depth, out=best)
-        here = opened.take(cell)
-        now = here + 1
-        now *= step >= 0  # a node opens here (+1), or a leaf closes all of them
-        depth += now
-        depth -= here
-        opened[cell] = now
-        cell += step
-    return best
+    return _heights(wT, lut, reps, int(top.max(initial=0)) + 1)
+
+
+def _rotated_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
+    """Tree height of each row's cycle-lemma rotation, the rows being valid words (int32).
+
+    batch_heights(batch_rotate(words, degrees), degrees) without the rotated
+    copy: one walk of the lowest key, with a running maximum, gives each
+    row's rotation point and its path's level range, and the recurrence then
+    reads each position's letters of the rotation gathered straight from the
+    words.  A row whose path does not end at -1 raises NotAValidWordError,
+    naming the first such row; every other row's rotation is a Lukasiewicz
+    word by the cycle lemma, so nothing else is checked.  The rotated path
+    stays within 0 .. max S - min S, so width = max S - min S + 1 levels
+    hold it, with at most one to spare.
+    """
+    reps, n = words.shape
+    wT = np.ascontiguousarray(words.T)
+    key, low, high = _lowest_keys(wT, degrees, highest=True)
+    level = key >> 32
+    bad = level != -1
+    if bad.any():
+        row = int(bad.argmax())
+        raise NotAValidWordError(
+            f"row {row} is not a valid word: its path ends at level {level[row]}, not -1"
+        )
+    width = int(((high >> 32) - (low >> 32)).max(initial=0)) + 1
+    rows = _rotated_rows(wT, low, repeat(np.empty(reps, dtype=wT.dtype), n))
+    return _heights(rows, np.asarray(degrees, dtype=np.intp), reps, width)

@@ -12,9 +12,10 @@ replotted directly:
   fraction grows, trees get taller: with c_n binary nodes the height scales
   like (n / sqrt(c_n)) times a universal limit law, so sqrt(c_n)/n * height
   is the stable quantity and height/sqrt(n) grows as unary nodes displace
-  binary ones.  The batch engine draws the trees as numpy rows and the
-  scalar engine through the bit-level pipelines; both measure them with
-  :func:`lukatree.batch.batch_heights`.
+  binary ones.  The batch engine draws the trees as numpy rows and measures
+  each row's cycle-lemma rotation without storing it, and the scalar engine
+  draws them through the bit-level pipelines and measures them with
+  :func:`lukatree.batch.batch_heights`; both share one height recurrence.
 
 Both harnesses are deterministic for a fixed seed and configuration, down to
 the emitted CSV bytes.
@@ -117,13 +118,17 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
     """Sample heights of uniform Motzkin trees for each unary fraction.
 
     Each fraction maps to u = round(fraction * n), parity-adjusted via
-    nearest_feasible_unary.  Replicates go in chunks of at most _CHUNK rows,
-    and only the source of a chunk's Lukasiewicz words depends on the engine:
-    the batch engine (default) draws and rotates them as numpy rows, the
-    scalar engine runs the bit-level pipelines from one BitSource(seed),
-    drawing every tree of the scan in turn.  Both then measure the chunk with
-    batch_heights.  Either way the run is deterministic for a fixed config;
-    like BitSource, the batch engine reads the seed modulo 2^64.
+    nearest_feasible_unary.  Replicates go in chunks of at most _CHUNK rows.
+    The batch engine (default) draws a chunk's valid words as numpy rows and
+    measures them with batch._rotated_heights: one walk finds each row's
+    cycle-lemma rotation, and the height recurrence reads it straight from
+    the words, so the rotated copy is never built.  The scalar engine runs
+    the bit-level pipelines from one BitSource(seed), drawing every tree of
+    the scan in turn, and measures the chunk's Lukasiewicz words with
+    batch_heights, which runs the same recurrence.  Either way the run is
+    deterministic for a fixed config; like BitSource, the batch engine reads
+    the seed modulo 2^64.  n below 1 is a DomainTooSmallError, raised before
+    any unary count is derived from it.
     """
     if cfg.replicates < 1:
         raise DomainTooSmallError(f"need at least one replicate, got {cfg.replicates}")
@@ -132,6 +137,8 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
     for fraction in cfg.unary_fractions:
         if not 0.0 <= fraction < 1.0:  # also false for NaN
             raise LukatreeError(f"unary fraction {fraction!r} is not in [0, 1)")
+    if cfg.n < 1:
+        raise DomainTooSmallError(f"need a tree size n >= 1, got n={cfg.n}")
     if cfg.n >= 2**31:
         # the batch engine keeps levels and heights in int32
         raise LukatreeError(f"tree size {cfg.n} is not below 2^31")
@@ -141,7 +148,7 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
     # package, and every subcommand other than the two scans, goes without it
     import numpy as np
 
-    from .batch import batch_heights, batch_rotate, batch_valid_words
+    from .batch import _rotated_heights, batch_heights, batch_valid_words
 
     alphabet = motzkin_alphabet()
     degrees = alphabet.degrees
@@ -156,12 +163,13 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
         for done in range(0, cfg.replicates, _CHUNK):
             m = min(_CHUNK, cfg.replicates - done)
             if cfg.engine == "batch":
-                words = batch_rotate(batch_valid_words(rng, t.counts, m, cfg.method), degrees)
+                words = batch_valid_words(rng, t.counts, m, cfg.method)
+                heights[done : done + m] = _rotated_heights(words, degrees)
             else:
                 words = np.empty((m, cfg.n), dtype=np.int8)
                 for row in words:
                     row[:] = sample_lukasiewicz_word(source, t, alphabet, cfg.method)
-            heights[done : done + m] = batch_heights(words, degrees)
+                heights[done : done + m] = batch_heights(words, degrees)
         c = t.counts[2]
         mean = float(np.mean(heights))
         rows.append(

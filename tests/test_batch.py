@@ -25,7 +25,7 @@ from lukatree import (
     to_lukasiewicz,
     word_to_tree,
 )
-from lukatree.batch import batch_heights, batch_rotate, batch_valid_words
+from lukatree.batch import _rotated_heights, batch_heights, batch_rotate, batch_valid_words
 
 
 def rows_to_heights(rows, alphabet):
@@ -151,7 +151,11 @@ def test_engine_matches_the_row_major_reference(alphabet, counts, method, reps):
         assert np.array_equal(got, _reference_rotate(layout(want), degrees)), name
         heights = batch_heights(layout(rotated), degrees)
         assert heights.dtype == np.int32, name
-        assert np.array_equal(heights, _reference_heights(layout(rotated), degrees)), name
+        want_heights = _reference_heights(layout(rotated), degrees)
+        assert np.array_equal(heights, want_heights), name
+        walked = _rotated_heights(layout(words), degrees)
+        assert walked.dtype == np.int32, name
+        assert np.array_equal(walked, want_heights), name
 
 
 def test_one_chunk_stays_small():
@@ -169,6 +173,24 @@ def test_one_chunk_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("u", [900, 500, 0])
+def test_rotated_heights_allocate_under_1_mib(u):
+    # the walk of one height-scan chunk at n = 1000, 2048 position-major rows:
+    # no rotated copy of the 2 MB words, only per-row vectors and the counts
+    # by level, which the widest paths (u = 0) need most of
+    counts = motzkin_tuple(1000, nearest_feasible_unary(1000, u)).counts
+    degrees = motzkin_alphabet().degrees
+    words = batch_valid_words(np.random.default_rng(9), counts, 2048)
+    assert words.T.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        _rotated_heights(words, degrees)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_rotation_matches_scalar_reference(motzkin):
@@ -229,6 +251,29 @@ def test_wide_arity_alphabet_matches_scalar():
 def test_heights_reject_rows_that_are_not_lukasiewicz(motzkin, rows, bad, why):
     words = np.array(rows, dtype=np.int8)
     with pytest.raises(NotAValidWordError, match=f"row {bad} .*{why}"):
+        batch_heights(words, motzkin.degrees)
+
+
+@pytest.mark.parametrize(
+    "rows,bad,level",
+    [
+        ([[2, 0, 0], [2, 1, 0]], 1, 0),  # cba leaves a slot unfilled
+        ([[0, 0, 0], [2, 2, 2]], 0, -3),
+        ([[0, 2, 0], [2, 2, 2], [0, 0, 0]], 1, 3),  # row 0 is a rotation of caa
+    ],
+)
+def test_rotated_heights_reject_rows_that_do_not_end_at_minus_1(motzkin, rows, bad, level):
+    words = np.array(rows, dtype=np.int8)
+    with pytest.raises(NotAValidWordError, match=f"^row {bad} .*ends at level {level}, not -1$"):
+        _rotated_heights(words, motzkin.degrees)
+
+
+def test_rotated_heights_take_any_rotation_of_a_valid_word(motzkin):
+    # every rotation of a valid word ends at -1, so the walk measures its
+    # Lukasiewicz rotation; batch_heights takes only that rotation itself
+    words = np.array([[0, 2, 0], [0, 0, 2], [2, 0, 0]], dtype=np.int8)
+    assert _rotated_heights(words, motzkin.degrees).tolist() == [1, 1, 1]
+    with pytest.raises(NotAValidWordError, match="row 0 "):
         batch_heights(words, motzkin.degrees)
 
 
@@ -338,15 +383,19 @@ def test_heights_beyond_int8_arity():
     assert batch_heights(spine, star.degrees).tolist() == [50]
     assert rows_to_heights(fan, star) + rows_to_heights(spine, star) == [1, 50]
     rng = np.random.default_rng(2)
-    rows = batch_rotate(batch_valid_words(rng, (399, 2), 40), star.degrees)
+    words = batch_valid_words(rng, (399, 2), 40)
+    rows = batch_rotate(words, star.degrees)
     assert batch_heights(rows, star.degrees).tolist() == rows_to_heights(rows, star)
+    assert _rotated_heights(words, star.degrees).tolist() == rows_to_heights(rows, star)
 
 
 def test_heights_four_letter_alphabet_row_by_row():
     alphabet = TreeAlphabet(("a", "b", "c", "d"), (-1, 0, 1, 3))
     for counts, reps in (((9, 3, 2, 2), 300), ((61, 10, 12, 16), 60)):
         rng = np.random.default_rng(counts[0])
-        rows = batch_rotate(batch_valid_words(rng, counts, reps), alphabet.degrees)
+        words = batch_valid_words(rng, counts, reps)
+        rows = batch_rotate(words, alphabet.degrees)
         got = batch_heights(rows, alphabet.degrees)
         assert got.dtype == np.int32
         assert got.tolist() == rows_to_heights(rows, alphabet)
+        assert _rotated_heights(words, alphabet.degrees).tolist() == got.tolist()

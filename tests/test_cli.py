@@ -371,6 +371,28 @@ def test_height_scan_pinned_csv_across_a_chunk(capsys, engine, method):
     assert out == HEIGHT_SCAN_COLUMNS + "\n" + PINNED_CHUNKED_SCANS[engine, method]
 
 
+def test_batch_scan_never_builds_the_rotation(capsys, monkeypatch):
+    # the batch engine measures each chunk's rotation through a gather from
+    # the words, so the rotated copy that batch_rotate returns is never made
+    def refuse(words, degrees):
+        raise AssertionError("the batch scan built the rotated words")
+
+    monkeypatch.setattr("lukatree.batch.batch_rotate", refuse)
+    for method in sorted(PINNED_SCANS):
+        code, out, err = run_cli(
+            capsys, "height-scan", "--n", "101", "--fractions", "0,0.5,0.9",
+            "--replicates", "64", "--seed", "3", "--method", method,
+        )
+        assert code == 0 and err == ""
+        assert out == HEIGHT_SCAN_COLUMNS + "\n" + PINNED_SCANS[method]
+        code, out, err = run_cli(
+            capsys, "height-scan", "--method", method, "--n", "11", "--fractions", "0,0.5",
+            "--replicates", "2050", "--seed", "5",
+        )
+        assert code == 0 and err == ""
+        assert out == HEIGHT_SCAN_COLUMNS + "\n" + PINNED_CHUNKED_SCANS["batch", method]
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -380,6 +402,8 @@ def test_height_scan_pinned_csv_across_a_chunk(capsys, engine, method):
         ("--fractions", "0.2,inf"),
         ("--fractions", "1"),
         ("--fractions", "-0.25"),
+        ("--n", "0"),
+        ("--n", "-3"),
     ],
 )
 def test_height_scan_bad_input_is_a_domain_error(capsys, flags):

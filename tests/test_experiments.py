@@ -168,6 +168,15 @@ def test_height_scan_rejects_bad_config(fractions, replicates, engine):
         run_height_scan(cfg)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("engine", ["batch", "scalar"])
+def test_height_scan_rejects_n_below_1(n, engine):
+    # the size is checked before the parity fix-up, so the message names only n
+    cfg = HeightScanConfig(n=n, unary_fractions=(0.0,), replicates=4, engine=engine)
+    with pytest.raises(DomainTooSmallError, match=f"^need a tree size n >= 1, got n={n}$"):
+        run_height_scan(cfg)
+
+
 @pytest.mark.parametrize("engine", ["batch", "scalar"])
 def test_height_scan_rejects_n_past_the_int32_path(engine):
     cfg = HeightScanConfig(n=2**31 + 1, unary_fractions=(0.0,), replicates=1, engine=engine)
