@@ -18,9 +18,9 @@ all rows at once.  Rotation and heights are cross-checked against the scalar
 code in the tests, word for word.
 
 Three private helpers do the work, each once: the lowest-key walk finds each
-row's rotation point (and, if asked, its path's level range), the rotation
-gather reads each position's letters of the rotation straight from the
-words, and the height recurrence measures the rows it is given.
+row's rotation point and its path's level range, the rotation gather reads
+each position's letters of the rotation straight from the words, and the
+height recurrence measures the rows it is given.
 :func:`batch_rotate` is the walk and the gather into a new array, and
 :func:`batch_heights` checks its rows and runs the recurrence on them; the
 scalar engine of :func:`lukatree.experiments.run_height_scan` measures its
@@ -32,9 +32,11 @@ Everything runs position by position: a Python loop over the n letter
 positions, each step a few numpy calls on contiguous length-reps rows, one
 entry per replicate.  The words are held position-major, as an (n, reps)
 int8 array whose row pos is letter pos of every replicate, and handed out
-as its (reps, n) transposed view, so word r is still row r.  Nothing else of
-n x reps size is built but batch_rotate's result: the lattice paths are
-never stored, only each replicate's current level.
+as its (reps, n) transposed view, so word r is still row r.  The
+permutation method shuffles row-major (reps, n) words, which the other
+functions first copy into that position-major layout.  Besides that copy
+and batch_rotate's result, nothing of n x reps size is built: the lattice
+paths are never stored, only each replicate's current level.
 """
 
 from __future__ import annotations
@@ -96,29 +98,27 @@ def batch_valid_words(
 
 
 def _lowest_keys(
-    wT: np.ndarray, degrees: tuple[int, ...], highest: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    wT: np.ndarray, degrees: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk the position-major words' paths: final, lowest and highest keys.
 
     key = level * 2^32 + (pos + 1) after the step at pos, so the running
     minimum of the key is the lowest level, first reached at the smallest
     pos, and its low 32 bits are that pos + 1; key >> 32 is the level.  The
-    final key holds each path's last level.  With highest, the running
-    maximum from the start's key 0 gives the highest level, S_0 = 0 included.
-    Levels stay within +-n for the words of a tree census and must fit in
-    int32.
+    final key holds each path's last level, and the running maximum from
+    the start's key 0 gives the highest level, S_0 = 0 included.  Levels
+    stay within +-n for the words of a tree census and must fit in int32.
     """
     n, reps = wT.shape
     lut = np.asarray(degrees, dtype=np.int64) << 32
     lut += 1
     key = np.zeros(reps, dtype=np.int64)
     low = np.full(reps, np.iinfo(np.int64).max)
-    high = np.zeros(reps, dtype=np.int64) if highest else None
+    high = np.zeros(reps, dtype=np.int64)
     for pos in range(n):
         key += lut.take(wT[pos])
         np.minimum(low, key, out=low)
-        if highest:
-            np.maximum(high, key, out=high)
+        np.maximum(high, key, out=high)
     return key, low, high
 
 
@@ -232,7 +232,7 @@ def _rotated_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     """
     reps, n = words.shape
     wT = np.ascontiguousarray(words.T)
-    key, low, high = _lowest_keys(wT, degrees, highest=True)
+    key, low, high = _lowest_keys(wT, degrees)
     level = key >> 32
     bad = level != -1
     if bad.any():
