@@ -36,11 +36,14 @@ as its (reps, n) transposed view, so word r is still row r.  The
 permutation method shuffles row-major (reps, n) words, which the other
 functions first copy into that position-major layout.  Besides that copy
 and batch_rotate's result, nothing of n x reps size is built: the lattice
-paths are never stored, only each replicate's current level.
+paths are never stored, only each replicate's current level.  The words and
+batch_rotate's result each get a memory mapping of their own (see
+:func:`_mapped`), so a scan's peak memory is that of its live arrays.
 """
 
 from __future__ import annotations
 
+import mmap
 from itertools import repeat
 from typing import Iterable, Iterator
 
@@ -53,6 +56,21 @@ __all__ = [
     "batch_rotate",
     "batch_heights",
 ]
+
+
+def _mapped(shape: tuple[int, int], dtype: np.dtype | type[np.generic]) -> np.ndarray:
+    """A zero-filled array in an anonymous memory mapping of its own.
+
+    Once glibc's malloc has freed one 2 MB block it serves blocks of that
+    size from its heap, where a freed one stays resident at an address that
+    depends on the small allocations made around it, so the peak memory of
+    a process that draws chunk after chunk changed from run to run.  A
+    mapping of its own goes back to the system with the array.  tracemalloc
+    does not see these arrays.
+    """
+    count = shape[0] * shape[1]
+    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
 def batch_valid_words(
@@ -76,8 +94,8 @@ def batch_valid_words(
     if n < 1 or k > 127:
         raise ValueError("need a non-empty multiset over at most 127 letters")
     if method == "permutation":
-        base = np.repeat(np.arange(k, dtype=np.int8), counts)
-        words = np.tile(base, (reps, 1))
+        words = _mapped((reps, n), np.int8)
+        words[:] = np.repeat(np.arange(k, dtype=np.int8), counts)
         rng.permuted(words, axis=1, out=words)
         return words
     if method != "dichotomic":
@@ -87,7 +105,7 @@ def batch_valid_words(
     # minus the number above it; each boundary above v drops by one.
     bounds = np.repeat(np.cumsum(counts[:-1], dtype=np.int64)[:, None], reps, axis=1)
     below = np.empty(bounds.shape, dtype=bool)
-    words = np.empty((n, reps), dtype=np.int8)
+    words = _mapped((n, reps), np.int8)
     for pos in range(n):
         v = rng.integers(0, n - pos, size=reps)
         np.less(v, bounds, out=below)
@@ -177,7 +195,7 @@ def batch_rotate(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     """
     wT = np.ascontiguousarray(words.T)
     _, low, _ = _lowest_keys(wT, degrees)
-    out = np.empty(wT.shape, dtype=words.dtype)
+    out = _mapped(wT.shape, words.dtype)
     for _ in _rotated_rows(wT, low, out):
         pass
     return out.T

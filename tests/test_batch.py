@@ -1,4 +1,5 @@
 import math
+import mmap
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -160,19 +161,37 @@ def test_engine_matches_the_row_major_reference(alphabet, counts, method, reps):
 
 def test_one_chunk_stays_small():
     # words, rotation and heights of one height-scan chunk at n = 1000: the
-    # int8 words and their rotation are 2 MB each, and no (n, reps) array
-    # wider than int8 may come back
+    # int8 words and their rotation, 2 MB each, live in mappings of their own
+    # that tracemalloc does not see; the rest is per-row vectors and the
+    # counts by level, and no (n, reps) array wider than int8 may come back
     counts = motzkin_tuple(1000, nearest_feasible_unary(1000, 900)).counts
     degrees = motzkin_alphabet().degrees
     rng = np.random.default_rng(9)
     tracemalloc.start()
     try:
         words = batch_valid_words(rng, counts, 2048)
-        batch_heights(batch_rotate(words, degrees), degrees)
+        rotated = batch_rotate(words, degrees)
+        batch_heights(rotated, degrees)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert words.dtype == rotated.dtype == np.int8
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_word_arrays_live_in_their_own_mappings():
+    # from the malloc heap, freed 2 MB chunks stayed resident wherever the
+    # allocator had put them, and a scan's peak memory varied between runs
+    def storage(a):
+        while isinstance(a, np.ndarray):
+            a = a.base
+        return a.obj  # np.frombuffer keeps a memoryview of its buffer
+
+    degrees = motzkin_alphabet().degrees
+    for method in ("dichotomic", "permutation"):
+        words = batch_valid_words(np.random.default_rng(3), (3, 1, 2), 5, method)
+        assert isinstance(storage(words), mmap.mmap), method
+        assert isinstance(storage(batch_rotate(words, degrees)), mmap.mmap), method
 
 
 @pytest.mark.parametrize("u", [900, 500, 0])
