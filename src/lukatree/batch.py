@@ -20,13 +20,12 @@ code in the tests, word for word.
 Three private helpers do the work, each once: the lowest-key walk finds each
 row's rotation point and its path's level range, the rotation gather reads
 each position's letters of the rotation straight from the words, and the
-height recurrence measures the rows it is given.
-:func:`batch_rotate` is the walk and the gather into a new array, and
-:func:`batch_heights` checks its rows and runs the recurrence on them; the
-scalar engine of :func:`lukatree.experiments.run_height_scan` measures its
-trees with it.  The batch engine measures through :func:`_rotated_heights`,
-which runs the walk and then the recurrence on the gathered rows, so the
-rotated words are never stored.
+height recurrence measures the rows it is given.  :func:`batch_rotate` is
+the walk and the gather into a new array.  :func:`batch_heights` is the walk
+and the recurrence on the gathered rows, so the rotated words are never
+stored; it measures each valid row as its cycle-lemma rotation, which for a
+Lukasiewicz row is the row itself.  Both engines of
+:func:`lukatree.experiments.run_height_scan` measure their words with it.
 
 Everything runs position by position: a Python loop over the n letter
 positions, each step a few numpy calls on contiguous length-reps rows, one
@@ -49,7 +48,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import NotAValidWordError
+from .errors import LimitExceededError, NotAValidWordError
 
 __all__ = [
     "batch_valid_words",
@@ -125,9 +124,15 @@ def _lowest_keys(
     pos, and its low 32 bits are that pos + 1; key >> 32 is the level.  The
     final key holds each path's last level, and the running maximum from
     the start's key 0 gives the highest level, S_0 = 0 included.  Levels
-    stay within +-n for the words of a tree census and must fit in int32.
+    stay within +-n times the widest degree, which must fit in int32, or the
+    keys would wrap: such words raise LimitExceededError before the walk.
     """
     n, reps = wT.shape
+    widest = max(map(abs, degrees))
+    if n * widest >= 2**31:
+        raise LimitExceededError(
+            f"words of length {n} with a degree of {widest} can reach levels beyond int32"
+        )
     lut = np.asarray(degrees, dtype=np.int64) << 32
     lut += 1
     key = np.zeros(reps, dtype=np.int64)
@@ -192,6 +197,8 @@ def batch_rotate(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     The path is walked one position at a time and never stored.  The result
     is the transposed view of a position-major (n, reps) array, like the
     dichotomic words; a row-major input is transposed into that layout first.
+    Words whose levels could leave int32 (n times the widest degree at least
+    2^31) raise LimitExceededError.
     """
     wT = np.ascontiguousarray(words.T)
     _, low, _ = _lowest_keys(wT, degrees)
@@ -202,51 +209,20 @@ def batch_rotate(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
 
 
 def batch_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
-    """Tree height of each row, the rows being Lukasiewicz words (int32).
-
-    A row that is not a Lukasiewicz word raises NotAValidWordError, naming
-    the first such row.
-
-    Like batch_rotate, the rows are walked one position at a time: a first
-    pass finds the highest level, which sizes the counts, and the lowest
-    level before the last letter, which with the final level checks each
-    path; a second runs the height recurrence of :func:`_heights`.
-    """
-    reps, n = words.shape
-    wT = np.ascontiguousarray(words.T)
-    lut = np.asarray(degrees, dtype=np.intp)
-    level = np.zeros(reps, dtype=np.intp)
-    top = np.zeros(reps, dtype=np.intp)
-    low = np.zeros(reps, dtype=np.intp)
-    for pos in range(n - 1):
-        level += lut.take(wT[pos])
-        np.maximum(top, level, out=top)
-        np.minimum(low, level, out=low)
-    if n:
-        level += lut.take(wT[n - 1])
-    bad = (low < 0) | (level != -1)
-    if bad.any():
-        row = int(bad.argmax())
-        if low[row] < 0:
-            why = "its path drops below 0 before the last letter"
-        else:
-            why = f"its path ends at level {level[row]}, not -1"
-        raise NotAValidWordError(f"row {row} is not a Lukasiewicz word: {why}")
-    return _heights(wT, lut, reps, int(top.max(initial=0)) + 1)
-
-
-def _rotated_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     """Tree height of each row's cycle-lemma rotation, the rows being valid words (int32).
 
-    batch_heights(batch_rotate(words, degrees), degrees) without the rotated
-    copy: one walk of the lowest key, with a running maximum, gives each
-    row's rotation point and its path's level range, and the recurrence then
-    reads each position's letters of the rotation gathered straight from the
-    words.  A row whose path does not end at -1 raises NotAValidWordError,
-    naming the first such row; every other row's rotation is a Lukasiewicz
-    word by the cycle lemma, so nothing else is checked.  The rotated path
-    stays within 0 .. max S - min S, so width = max S - min S + 1 levels
-    hold it, with at most one to spare.
+    A row whose path does not end at -1 raises NotAValidWordError, naming
+    the first such row; every other row's rotation is a Lukasiewicz word by
+    the cycle lemma, so nothing else is checked, and a Lukasiewicz row is
+    its own rotation.  Words whose levels could leave int32 raise
+    LimitExceededError, as in batch_rotate.
+
+    One walk of the lowest key, as in batch_rotate, gives each row's
+    rotation point and its path's level range, and the recurrence of
+    :func:`_heights` then reads each position's letters of the rotation
+    gathered straight from the words, so the rotated copy is never built.
+    The rotated path stays within 0 .. max S - min S, so width = max S -
+    min S + 1 levels hold it, with at most one to spare.
     """
     reps, n = words.shape
     wT = np.ascontiguousarray(words.T)

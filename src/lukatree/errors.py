@@ -61,7 +61,8 @@ class DomainTooSmallError(LukatreeError):
 
 class LimitExceededError(LukatreeError):
     """A size is beyond a cap: exhaustive enumeration beyond its configured
-    limit, or a sampled word longer than a list can hold."""
+    limit, a sampled word longer than a list can hold, or batch words whose
+    path levels could leave int32."""
 
 
 # -- experiments -------------------------------------------------------------

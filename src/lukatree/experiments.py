@@ -12,10 +12,10 @@ replotted directly:
   fraction grows, trees get taller: with c_n binary nodes the height scales
   like (n / sqrt(c_n)) times a universal limit law, so sqrt(c_n)/n * height
   is the stable quantity and height/sqrt(n) grows as unary nodes displace
-  binary ones.  The batch engine draws the trees as numpy rows and measures
-  each row's cycle-lemma rotation without storing it, and the scalar engine
-  draws them through the bit-level pipelines and measures them with
-  :func:`lukatree.batch.batch_heights`; both share one height recurrence.
+  binary ones.  The batch engine draws the trees' valid words as numpy rows,
+  and the scalar engine draws their Lukasiewicz words through the bit-level
+  pipelines; both measure them with :func:`lukatree.batch.batch_heights`,
+  which reads each row's cycle-lemma rotation without storing it.
 
 Both harnesses are deterministic for a fixed seed and configuration, down to
 the emitted CSV bytes.
@@ -30,7 +30,7 @@ from typing import Sequence
 from .alphabet import DegreeTuple, motzkin_alphabet
 from .bitstream import _MASK64, BitSource
 from .errors import DomainTooSmallError, InfeasibleParityError, LukatreeError
-from .samplers import _draw_letters, mean_cost_closed_form, sample_lukasiewicz_word
+from .samplers import METHODS, _draw_letters, mean_cost_closed_form, sample_lukasiewicz_word
 
 __all__ = [
     "motzkin_tuple",
@@ -119,16 +119,17 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
 
     Each fraction maps to u = round(fraction * n), parity-adjusted via
     nearest_feasible_unary.  Replicates go in chunks of at most _CHUNK rows.
-    The batch engine (default) draws a chunk's valid words as numpy rows and
-    measures them with batch._rotated_heights: one walk finds each row's
-    cycle-lemma rotation, and the height recurrence reads it straight from
-    the words, so the rotated copy is never built.  The scalar engine runs
-    the bit-level pipelines from one BitSource(seed), drawing every tree of
-    the scan in turn, and measures the chunk's Lukasiewicz words with
-    batch_heights, which runs the same recurrence.  Either way the run is
-    deterministic for a fixed config; like BitSource, the batch engine reads
-    the seed modulo 2^64.  n below 1 is a DomainTooSmallError, raised before
-    any unary count is derived from it.
+    The batch engine (default) draws a chunk's valid words as numpy rows;
+    the scalar engine runs the bit-level pipelines from one BitSource(seed),
+    drawing every tree of the scan in turn as its Lukasiewicz word.  Either
+    way, batch_heights measures the chunk: one walk finds each row's
+    cycle-lemma rotation (the row itself for a Lukasiewicz word), and the
+    height recurrence reads it straight from the words, so the rotated copy
+    is never built.  The run is deterministic for a fixed config; like
+    BitSource, the batch engine reads the seed modulo 2^64.  n below 1 is a
+    DomainTooSmallError, raised before any unary count is derived from it,
+    and an unknown engine or method is a LukatreeError, raised before
+    anything is drawn.
     """
     if cfg.replicates < 1:
         raise DomainTooSmallError(f"need at least one replicate, got {cfg.replicates}")
@@ -144,11 +145,13 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
         raise LukatreeError(f"tree size {cfg.n} is not below 2^31")
     if cfg.engine not in ("batch", "scalar"):
         raise LukatreeError(f"unknown engine {cfg.engine!r}")
-    # numpy loads here and in run_bitcost_scan only, so that importing the
-    # package, and every subcommand other than the two scans, goes without it
+    if cfg.method not in METHODS:
+        raise LukatreeError(f"unknown method {cfg.method!r}, expected one of {METHODS}")
+    # numpy loads here only, so that importing the package, and every
+    # subcommand other than height-scan, goes without it
     import numpy as np
 
-    from .batch import _rotated_heights, batch_heights, batch_valid_words
+    from .batch import batch_heights, batch_valid_words
 
     alphabet = motzkin_alphabet()
     degrees = alphabet.degrees
@@ -164,12 +167,11 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
             m = min(_CHUNK, cfg.replicates - done)
             if cfg.engine == "batch":
                 words = batch_valid_words(rng, t.counts, m, cfg.method)
-                heights[done : done + m] = _rotated_heights(words, degrees)
             else:
                 words = np.empty((m, cfg.n), dtype=np.int8)
                 for row in words:
                     row[:] = sample_lukasiewicz_word(source, t, alphabet, cfg.method)
-                heights[done : done + m] = batch_heights(words, degrees)
+            heights[done : done + m] = batch_heights(words, degrees)
         c = t.counts[2]
         mean = float(np.mean(heights))
         rows.append(
@@ -234,8 +236,6 @@ def run_bitcost_scan(k_max: int, replicates: int, seed: int = 0) -> list[BitCost
         raise DomainTooSmallError(f"scan needs k_max >= 2, got {k_max}")
     if replicates < 2:
         raise DomainTooSmallError("need at least two replicates for a standard error")
-    import numpy as np
-
     source = BitSource(seed)
     rows = []
     for k in range(2, k_max + 1):
@@ -243,16 +243,18 @@ def run_bitcost_scan(k_max: int, replicates: int, seed: int = 0) -> list[BitCost
         stats = []
         for pool in ([1] * k, [2] + [1] * (k - 1)):
             total = sum(pool)
-            costs = np.empty(replicates, dtype=np.int64)
-            for rep in range(replicates):
+            costs = []
+            for _ in range(replicates):
                 before = source.bits_consumed
                 # dichotomic_draw without its guards: this pool is ours, never edited
                 (letter,) = _draw_letters(source, pool, total, 1)
                 pool[letter] += 1
-                costs[rep] = source.bits_consumed - before
-            mean = float(np.mean(costs))
-            stderr = float(np.std(costs, ddof=1)) / math.sqrt(replicates)
-            stats.append((mean, stderr))
+                costs.append(source.bits_consumed - before)
+            # mean and standard error from exact integer sums
+            s1 = sum(costs)
+            s2 = sum(c * c for c in costs)
+            variance = (replicates * s2 - s1 * s1) / (replicates * (replicates - 1))
+            stats.append((s1 / replicates, math.sqrt(variance) / math.sqrt(replicates)))
         (mean_u, err_u), (mean_o, err_o) = stats
         rows.append(
             BitCostRow(

@@ -12,6 +12,7 @@ from conftest import ScriptedGenerator, exact_distribution
 from lukatree import (
     METHODS,
     Classification,
+    LimitExceededError,
     NotAValidWordError,
     TreeAlphabet,
     classify,
@@ -26,7 +27,7 @@ from lukatree import (
     to_lukasiewicz,
     word_to_tree,
 )
-from lukatree.batch import _rotated_heights, batch_heights, batch_rotate, batch_valid_words
+from lukatree.batch import batch_heights, batch_rotate, batch_valid_words
 
 
 def rows_to_heights(rows, alphabet):
@@ -154,7 +155,7 @@ def test_engine_matches_the_row_major_reference(alphabet, counts, method, reps):
         assert heights.dtype == np.int32, name
         want_heights = _reference_heights(layout(rotated), degrees)
         assert np.array_equal(heights, want_heights), name
-        walked = _rotated_heights(layout(words), degrees)
+        walked = batch_heights(layout(words), degrees)
         assert walked.dtype == np.int32, name
         assert np.array_equal(walked, want_heights), name
 
@@ -205,7 +206,7 @@ def test_rotated_heights_allocate_under_1_mib(u):
     assert words.T.flags.c_contiguous
     tracemalloc.start()
     try:
-        _rotated_heights(words, degrees)
+        batch_heights(words, degrees)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -261,8 +262,6 @@ def test_wide_arity_alphabet_matches_scalar():
 @pytest.mark.parametrize(
     "rows,bad,why",
     [
-        ([[0, 2, 0]], 0, "drops below 0"),  # aca: complete after one letter
-        ([[0, 0, 2]], 0, "drops below 0"),  # aac: the path would index level -2
         ([[2, 0, 0], [2, 1, 0]], 1, "ends at level 0"),  # cba leaves a slot unfilled
         ([[2, 0, 0], [2, 2, 2], [0, 2, 0]], 1, "ends at level 3"),
     ],
@@ -284,16 +283,45 @@ def test_heights_reject_rows_that_are_not_lukasiewicz(motzkin, rows, bad, why):
 def test_rotated_heights_reject_rows_that_do_not_end_at_minus_1(motzkin, rows, bad, level):
     words = np.array(rows, dtype=np.int8)
     with pytest.raises(NotAValidWordError, match=f"^row {bad} .*ends at level {level}, not -1$"):
-        _rotated_heights(words, motzkin.degrees)
+        batch_heights(words, motzkin.degrees)
 
 
 def test_rotated_heights_take_any_rotation_of_a_valid_word(motzkin):
     # every rotation of a valid word ends at -1, so the walk measures its
-    # Lukasiewicz rotation; batch_heights takes only that rotation itself
+    # Lukasiewicz rotation, caa, whichever rotation it is given
     words = np.array([[0, 2, 0], [0, 0, 2], [2, 0, 0]], dtype=np.int8)
-    assert _rotated_heights(words, motzkin.degrees).tolist() == [1, 1, 1]
-    with pytest.raises(NotAValidWordError, match="row 0 "):
-        batch_heights(words, motzkin.degrees)
+    assert batch_heights(words, motzkin.degrees).tolist() == [1, 1, 1]
+
+
+def test_heights_of_every_rotation_of_every_small_valid_word():
+    # every valid word is a rotation of a Lukasiewicz word of its multiset:
+    # all Motzkin words with n <= 8 and all (-1, 2) words with n <= 10
+    cases = [
+        (motzkin_alphabet(), motzkin_tuple(n, u).counts)
+        for n in range(1, 9)
+        for u in range(n)
+        if (n - u) % 2 == 1
+    ]
+    ternary = TreeAlphabet(("a", "t"), (-1, 2))
+    cases += [(ternary, (2 * j + 1, j)) for j in range(4)]
+    for alphabet, counts in cases:
+        words = enumerate_valid_words(counts, alphabet)
+        want = [height(word_to_tree(to_lukasiewicz(w, alphabet), alphabet)) for w in words]
+        rows = np.array(words, dtype=np.int8)
+        assert batch_heights(rows, alphabet.degrees).tolist() == want, counts
+
+
+@pytest.mark.parametrize("measure", [batch_rotate, batch_heights])
+def test_levels_beyond_int32_are_rejected_before_the_walk(measure):
+    # the walk packs level * 2^32 + pos + 1 into int64: a level that leaves
+    # int32 would wrap into the position bits and pick the wrong rotation
+    with pytest.raises(LimitExceededError, match="length 2 with a degree of 4294967295"):
+        measure(np.array([[0, 1]], dtype=np.int8), (-1, 2**32 - 1))
+    with pytest.raises(LimitExceededError, match="length 1 with a degree of 2147483648"):
+        measure(np.array([[1]], dtype=np.int8), (-1, 2**31))
+    # n times the widest degree just below 2^31 still walks
+    want = [[0]] if measure is batch_rotate else [0]
+    assert measure(np.array([[0]], dtype=np.int8), (-1, 2**31 - 1)).tolist() == want
 
 
 def test_height_edge_rows(motzkin):
@@ -405,7 +433,7 @@ def test_heights_beyond_int8_arity():
     words = batch_valid_words(rng, (399, 2), 40)
     rows = batch_rotate(words, star.degrees)
     assert batch_heights(rows, star.degrees).tolist() == rows_to_heights(rows, star)
-    assert _rotated_heights(words, star.degrees).tolist() == rows_to_heights(rows, star)
+    assert batch_heights(words, star.degrees).tolist() == rows_to_heights(rows, star)
 
 
 def test_heights_four_letter_alphabet_row_by_row():
@@ -417,4 +445,4 @@ def test_heights_four_letter_alphabet_row_by_row():
         got = batch_heights(rows, alphabet.degrees)
         assert got.dtype == np.int32
         assert got.tolist() == rows_to_heights(rows, alphabet)
-        assert _rotated_heights(words, alphabet.degrees).tolist() == got.tolist()
+        assert batch_heights(words, alphabet.degrees).tolist() == got.tolist()

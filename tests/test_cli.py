@@ -265,6 +265,7 @@ for argv in (
     ["count", "--alphabet", "{MOTZKIN}", "--tuple", "3,2,2"],
     ["enumerate", "--alphabet", "{BINARY}", "--tuple", "3,2"],
     ["render", "--alphabet", "{MOTZKIN}", "--word", "cacbaba"],
+    ["bitcost", "--k-max", "3", "--replicates", "5"],
     ["height-scan", "--n", "11", "--fractions", "0.5", "--replicates", "3"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -274,7 +275,7 @@ for argv in (
 
 
 def test_only_the_scans_load_numpy():
-    """Import and the scalar subcommands run without numpy; height-scan loads it."""
+    """Import, bitcost and the scalar subcommands run without numpy; height-scan loads it."""
     done = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, env=checkout_env()
     )
@@ -286,6 +287,7 @@ def test_only_the_scans_load_numpy():
         "count 0 False",
         "enumerate 0 False",
         "render 0 False",
+        "bitcost 0 False",
         "height-scan 0 True",
     ]
 

@@ -194,17 +194,25 @@ def test_height_scan_reads_the_seed_modulo_2_64():
 
 
 def test_height_scan_rejects_unknown_engine(monkeypatch):
-    # the engine is a config check: it fails before anything is sampled
+    # the engine and the method are config checks: they fail the same way,
+    # for either engine, before anything is sampled
     def never(*args, **kwargs):
-        raise AssertionError("sampled before the engine was checked")
+        raise AssertionError("sampled before the config was checked")
 
     for name in ("BitSource", "sample_lukasiewicz_word", "motzkin_tuple"):
         monkeypatch.setattr(experiments, name, never)
     # run_height_scan imports the batch sampler at call time
     monkeypatch.setattr(batch, "batch_valid_words", never)
-    cfg = HeightScanConfig(n=9, unary_fractions=(0.0,), replicates=4, engine="gpu")
-    with pytest.raises(LukatreeError, match="unknown engine 'gpu'"):
-        run_height_scan(cfg)
+    for field, engine, method in (
+        ("engine", "gpu", "dichotomic"),
+        ("method", "batch", "gpu"),
+        ("method", "scalar", "gpu"),
+    ):
+        cfg = HeightScanConfig(
+            n=9, unary_fractions=(0.0,), replicates=4, engine=engine, method=method
+        )
+        with pytest.raises(LukatreeError, match=f"^unknown {field} 'gpu'"):
+            run_height_scan(cfg)
 
 
 def test_bitcost_scan_rows():
