@@ -17,15 +17,16 @@ lemma.  Heights come from the height process of the Lukasiewicz path, run on
 all rows at once.  Rotation and heights are cross-checked against the scalar
 code in the tests, word for word.
 
-Three private helpers do the work, each once: the lowest-key walk finds each
-row's rotation point and its path's level range, the rotation gather reads
-each position's letters of the rotation straight from the words, and the
-height recurrence measures the rows it is given.  :func:`batch_rotate` is
-the walk and the gather into a new array.  :func:`batch_heights` is the walk
-and the recurrence on the gathered rows, so the rotated words are never
-stored; it measures each valid row as its cycle-lemma rotation, which for a
-Lukasiewicz row is the row itself.  Both engines of
-:func:`lukatree.experiments.run_height_scan` measure their words with it.
+One private walk serves both rotation and heights: it copies the rows
+position-major, rejects rows that are no valid word, and finds where each
+row's rotation starts and how far its path ranges.  :func:`batch_rotate` is
+the walk and a gather of the rotation into a new array.
+:func:`batch_heights` is the walk and one loop that gathers each position's
+letters of the rotation straight from the words and steps the height
+recurrence on them, so the rotated words are never stored; it measures each
+valid row as its cycle-lemma rotation, which for a Lukasiewicz row is the
+row itself.  Both engines of :func:`lukatree.experiments.run_height_scan`
+measure their words with it.
 
 Everything runs position by position: a Python loop over the n letter
 positions, each step a few numpy calls on contiguous length-reps rows, one
@@ -43,12 +44,16 @@ batch_rotate's result each get a memory mapping of their own (see
 from __future__ import annotations
 
 import mmap
-from itertools import repeat
-from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import LimitExceededError, NotAValidWordError
+from .errors import (
+    ArityMismatchError,
+    DomainTooSmallError,
+    LimitExceededError,
+    LukatreeError,
+    NotAValidWordError,
+)
 
 __all__ = [
     "batch_valid_words",
@@ -87,18 +92,20 @@ def batch_valid_words(
     """
     for letter, count in enumerate(counts):
         if count < 0:
-            raise ValueError(f"letter {letter} has negative count {count}")
+            raise ArityMismatchError(f"letter {letter} has negative count {count}")
     k = len(counts)
     n = sum(counts)
-    if n < 1 or k > 127:
-        raise ValueError("need a non-empty multiset over at most 127 letters")
+    if n < 1:
+        raise DomainTooSmallError(f"need a non-empty multiset, got counts {counts}")
+    if k > 127:
+        raise LimitExceededError(f"int8 words hold at most 127 letters, got {k}")
     if method == "permutation":
         words = _mapped((reps, n), np.int8)
         words[:] = np.repeat(np.arange(k, dtype=np.int8), counts)
         rng.permuted(words, axis=1, out=words)
         return words
     if method != "dichotomic":
-        raise ValueError(f"unknown method {method!r}")
+        raise LukatreeError(f"unknown method {method!r}")
     # bounds[j, r] = letters 0..j still to place in row r.  The letter drawn
     # is the number of these interior boundaries at or below v, that is k-1
     # minus the number above it; each boundary above v drops by one.
@@ -114,19 +121,24 @@ def batch_valid_words(
     return words.T
 
 
-def _lowest_keys(
-    wT: np.ndarray, degrees: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk the position-major words' paths: final, lowest and highest keys.
+def _walk(words: np.ndarray, degrees: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Walk each row's path once: the words flat, each rotation's start, and the level span.
 
-    key = level * 2^32 + (pos + 1) after the step at pos, so the running
-    minimum of the key is the lowest level, first reached at the smallest
-    pos, and its low 32 bits are that pos + 1; key >> 32 is the level.  The
-    final key holds each path's last level, and the running maximum from
-    the start's key 0 gives the highest level, S_0 = 0 included.  Levels
-    stay within +-n times the widest degree, which must fit in int32, or the
-    keys would wrap: such words raise LimitExceededError before the walk.
+    The rows are copied position-major first, so that letter pos of row r
+    sits at flat index pos * reps + r.  key = level * 2^32 + (pos + 1) after
+    the step at pos, so the running minimum of the key is the lowest level,
+    first reached at the smallest pos, and its low 32 bits are that pos + 1:
+    the rotation just past it starts at flat index at[r] = (pos + 1) * reps
+    + r, and its letter j is at at[r] + j * reps, modulo n * reps.  The
+    final key holds each path's last level, which must be -1, or the row
+    is no valid word and NotAValidWordError names the first such row.  The
+    running maximum from the start's key 0 gives the highest level, S_0 = 0
+    included, so the rotated path stays within width = max S - min S + 1
+    levels, with at most one to spare.  Levels stay within +-n times the
+    widest degree, which must fit in int32, or the keys would wrap: such
+    words raise LimitExceededError before the walk.
     """
+    wT = np.ascontiguousarray(words.T)
     n, reps = wT.shape
     widest = max(map(abs, degrees))
     if n * widest >= 2**31:
@@ -142,43 +154,66 @@ def _lowest_keys(
         key += lut.take(wT[pos])
         np.minimum(low, key, out=low)
         np.maximum(high, key, out=high)
-    return key, low, high
-
-
-def _rotated_rows(
-    wT: np.ndarray, low: np.ndarray, rows: Iterable[np.ndarray]
-) -> Iterator[np.ndarray]:
-    """Gather each position's letters of the rotation into the next of rows, yielding it.
-
-    The rotation starts at ell, the low 32 bits of the row's lowest key, so
-    its letter pos is letter (ell + pos) mod n of the word; take's wrap mode
-    reduces the flat index modulo n * reps.
-    """
-    reps = wT.shape[1]
+    level = key >> 32
+    bad = level != -1
+    if bad.any():
+        row = int(bad.argmax())
+        raise NotAValidWordError(
+            f"row {row} is not a valid word: its path ends at level {level[row]}, not -1"
+        )
+    width = int(((high >> 32) - (low >> 32)).max(initial=0)) + 1
     at = (low & 0xFFFFFFFF) * reps
     at += np.arange(reps)
-    flat = wT.reshape(-1)
-    for row in rows:
+    return wT.reshape(-1), at, width
+
+
+def batch_rotate(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
+    """Rotate each row, a valid word, just past the first minimum of its path (cycle lemma).
+
+    A row whose path does not end at -1 raises NotAValidWordError, naming
+    the first such row, as the scalar to_lukasiewicz does; words whose
+    levels could leave int32 (n times the widest degree at least 2^31)
+    raise LimitExceededError.  The path is walked one position at a time
+    and never stored.  The result is the transposed view of a
+    position-major (n, reps) array, like the dichotomic words; a row-major
+    input is transposed into that layout first.
+    """
+    reps, n = words.shape
+    flat, at, _ = _walk(words, degrees)
+    out = _mapped((n, reps), words.dtype)
+    for row in out:
         flat.take(at, out=row, mode="wrap")
         at += reps
-        yield row
+    return out.T
 
 
-def _heights(rows: Iterable[np.ndarray], lut: np.ndarray, reps: int, width: int) -> np.ndarray:
-    """Height of each replicate from its Lukasiewicz word's letters, one position per row.
+def batch_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
+    """Tree height of each row's cycle-lemma rotation, the rows being valid words (int32).
+
+    Rows are checked as in batch_rotate; every valid row's rotation is a
+    Lukasiewicz word by the cycle lemma, so nothing else is checked, and a
+    Lukasiewicz row is its own rotation.  The rotated copy is never built:
+    each step gathers one position's letters of the rotation straight from
+    the words and runs the height recurrence on them.
 
     Node m of the preorder sits at depth H_m = #{j < m : S_j = min S_j..S_m},
     the height process of the path S_j = degree sum of the first j letters.
     No degree is below -1, so a leaf at level S_m closes exactly the open
     nodes opened at that level; a per-row count of open nodes by level, for
-    levels 0 .. width - 1, is all the state needed, for arities of any size.
-    Depths and counts are int32, so n must be below 2^31.
+    the walk's width levels, is all the state needed, for arities of any
+    size.  Depths and counts are int32, so n must be below 2^31.
     """
+    reps, n = words.shape
+    flat, at, width = _walk(words, degrees)
+    lut = np.asarray(degrees, dtype=np.intp)
+    row = np.empty(reps, dtype=flat.dtype)
     opened = np.zeros(reps * width, dtype=np.int32)  # open nodes by (row, level)
     cell = np.arange(reps) * width  # flat index of (row, level before the step); S_0 = 0
     depth = np.zeros(reps, dtype=np.int32)
     best = np.zeros(reps, dtype=np.int32)
-    for row in rows:
+    for _ in range(n):
+        flat.take(at, out=row, mode="wrap")
+        at += reps
         step = lut.take(row)
         np.maximum(best, depth, out=best)
         here = opened.take(cell)
@@ -189,51 +224,3 @@ def _heights(rows: Iterable[np.ndarray], lut: np.ndarray, reps: int, width: int)
         opened[cell] = now
         cell += step
     return best
-
-
-def batch_rotate(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
-    """Rotate each row just past the first minimum of its path (cycle lemma).
-
-    The path is walked one position at a time and never stored.  The result
-    is the transposed view of a position-major (n, reps) array, like the
-    dichotomic words; a row-major input is transposed into that layout first.
-    Words whose levels could leave int32 (n times the widest degree at least
-    2^31) raise LimitExceededError.
-    """
-    wT = np.ascontiguousarray(words.T)
-    _, low, _ = _lowest_keys(wT, degrees)
-    out = _mapped(wT.shape, words.dtype)
-    for _ in _rotated_rows(wT, low, out):
-        pass
-    return out.T
-
-
-def batch_heights(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
-    """Tree height of each row's cycle-lemma rotation, the rows being valid words (int32).
-
-    A row whose path does not end at -1 raises NotAValidWordError, naming
-    the first such row; every other row's rotation is a Lukasiewicz word by
-    the cycle lemma, so nothing else is checked, and a Lukasiewicz row is
-    its own rotation.  Words whose levels could leave int32 raise
-    LimitExceededError, as in batch_rotate.
-
-    One walk of the lowest key, as in batch_rotate, gives each row's
-    rotation point and its path's level range, and the recurrence of
-    :func:`_heights` then reads each position's letters of the rotation
-    gathered straight from the words, so the rotated copy is never built.
-    The rotated path stays within 0 .. max S - min S, so width = max S -
-    min S + 1 levels hold it, with at most one to spare.
-    """
-    reps, n = words.shape
-    wT = np.ascontiguousarray(words.T)
-    key, low, high = _lowest_keys(wT, degrees)
-    level = key >> 32
-    bad = level != -1
-    if bad.any():
-        row = int(bad.argmax())
-        raise NotAValidWordError(
-            f"row {row} is not a valid word: its path ends at level {level[row]}, not -1"
-        )
-    width = int(((high >> 32) - (low >> 32)).max(initial=0)) + 1
-    rows = _rotated_rows(wT, low, repeat(np.empty(reps, dtype=wT.dtype), n))
-    return _heights(rows, np.asarray(degrees, dtype=np.intp), reps, width)

@@ -41,7 +41,7 @@ from typing import Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
 from .bitstream import BitSource, fisher_yates
-from .errors import DomainTooSmallError, LimitExceededError
+from .errors import DomainTooSmallError, LimitExceededError, LukatreeError
 from .tree import PlanarTree
 from .words import _place_blocks, to_lukasiewicz
 
@@ -198,7 +198,7 @@ def sample_lukasiewicz_word(
     block fill, words._place_blocks.
     """
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+        raise LukatreeError(f"unknown method {method!r}, expected one of {METHODS}")
     counts = f_valid_counts(t, alphabet)
     n = sum(counts)
     if n > sys.maxsize:

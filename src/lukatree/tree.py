@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .alphabet import TreeAlphabet
-from .errors import NotAValidWordError
+from .errors import LukatreeError, NotAValidWordError
 from .words import path_heights
 
 __all__ = [
@@ -116,7 +116,7 @@ def serialize(tree: PlanarTree, fmt: str = "paren") -> str:
         return _paren(tree)
     if fmt == "dot":
         return _dot(tree)
-    raise ValueError(f"unknown format {fmt!r}, expected one of {SERIALIZE_FORMATS}")
+    raise LukatreeError(f"unknown format {fmt!r}, expected one of {SERIALIZE_FORMATS}")
 
 
 def _paren(tree: PlanarTree) -> str:

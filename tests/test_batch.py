@@ -11,8 +11,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import ScriptedGenerator, exact_distribution
 from lukatree import (
     METHODS,
+    ArityMismatchError,
     Classification,
+    DomainTooSmallError,
     LimitExceededError,
+    LukatreeError,
     NotAValidWordError,
     TreeAlphabet,
     classify,
@@ -46,10 +49,12 @@ def test_rows_are_arrangements_of_the_multiset(motzkin):
 
 def test_batch_valid_words_rejects_junk():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(LukatreeError, match="unknown method 'bogus'"):
         batch_valid_words(rng, (2, 1), 5, "bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainTooSmallError):
         batch_valid_words(rng, (0, 0), 5)
+    with pytest.raises(LimitExceededError, match="got 128"):
+        batch_valid_words(rng, (1,) * 128, 5)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -58,7 +63,7 @@ def test_batch_valid_words_rejects_negative_counts(counts, method):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     letter = min(i for i, c in enumerate(counts) if c < 0)
-    with pytest.raises(ValueError, match=f"letter {letter} has negative count -1$"):
+    with pytest.raises(ArityMismatchError, match=f"letter {letter} has negative count -1$"):
         batch_valid_words(rng, counts, 3, method)
     assert rng.bit_generator.state == state
 
@@ -280,10 +285,11 @@ def test_heights_reject_rows_that_are_not_lukasiewicz(motzkin, rows, bad, why):
         ([[0, 2, 0], [2, 2, 2], [0, 0, 0]], 1, 3),  # row 0 is a rotation of caa
     ],
 )
-def test_rotated_heights_reject_rows_that_do_not_end_at_minus_1(motzkin, rows, bad, level):
+@pytest.mark.parametrize("measure", [batch_rotate, batch_heights])
+def test_rotated_heights_reject_rows_that_do_not_end_at_minus_1(motzkin, rows, bad, level, measure):
     words = np.array(rows, dtype=np.int8)
     with pytest.raises(NotAValidWordError, match=f"^row {bad} .*ends at level {level}, not -1$"):
-        batch_heights(words, motzkin.degrees)
+        measure(words, motzkin.degrees)
 
 
 def test_rotated_heights_take_any_rotation_of_a_valid_word(motzkin):
@@ -306,8 +312,10 @@ def test_heights_of_every_rotation_of_every_small_valid_word():
     cases += [(ternary, (2 * j + 1, j)) for j in range(4)]
     for alphabet, counts in cases:
         words = enumerate_valid_words(counts, alphabet)
-        want = [height(word_to_tree(to_lukasiewicz(w, alphabet), alphabet)) for w in words]
+        luka = [to_lukasiewicz(w, alphabet) for w in words]
+        want = [height(word_to_tree(w, alphabet)) for w in luka]
         rows = np.array(words, dtype=np.int8)
+        assert batch_rotate(rows, alphabet.degrees).tolist() == [list(w) for w in luka], counts
         assert batch_heights(rows, alphabet.degrees).tolist() == want, counts
 
 

@@ -18,6 +18,7 @@ from lukatree import (
     DiscreteWeights,
     DomainTooSmallError,
     LimitExceededError,
+    LukatreeError,
     TreeAlphabet,
     TupleNotValidError,
     dichotomic_draw,
@@ -350,7 +351,7 @@ def test_sample_tree_properties(motzkin):
         assert tuple(tree.letters.count(i) for i in range(motzkin.k)) == t.counts
         again = sample_tree(BitSource(99), t, motzkin, method=method)
         assert tree.letters == again.letters and tree.children == again.children
-    with pytest.raises(ValueError):
+    with pytest.raises(LukatreeError, match="unknown method 'bogus'"):
         sample_tree(BitSource(0), t, motzkin, method="bogus")
 
 

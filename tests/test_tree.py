@@ -5,6 +5,7 @@ import pytest
 from lukatree import (
     ArityMismatchError,
     DegreeTuple,
+    LukatreeError,
     NotAValidWordError,
     TreeAlphabet,
     enumerate_lukasiewicz,
@@ -87,7 +88,7 @@ def test_serialize_dot_frozen(motzkin):
 
 def test_serialize_unknown_format(motzkin):
     tree = word_to_tree((0,), motzkin)
-    with pytest.raises(ValueError):
+    with pytest.raises(LukatreeError, match="unknown format 'json'"):
         serialize(tree, "json")
 
 
