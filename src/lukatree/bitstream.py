@@ -2,16 +2,15 @@
 
 Everything random in this package is driven by a :class:`BitSource`: the
 LSB-first bits of a seeded Mersenne Twister's successive 64-bit words.  The
-bits are fetched in bulk and handed out from a chunked buffer, but
-``bits_consumed`` goes up by exactly one per bit handed out and by nothing
-else, so the entropy cost of any composite operation can be read off as a
-counter difference.
+bits are fetched in bulk and kept as binary digits until they are handed
+out, but ``bits_consumed`` goes up by exactly one per bit handed out and by
+nothing else, so the entropy cost of any composite operation can be read off
+as a counter difference.
 """
 
 from __future__ import annotations
 
 import random
-import struct
 
 from .errors import DomainTooSmallError
 
@@ -19,35 +18,13 @@ __all__ = ["BitSource", "uniform_int", "fisher_yates"]
 
 _MASK64 = (1 << 64) - 1
 
-# Chunk widths, each the one its reader runs fastest on in CPython.  A bit
-# read from an int below 2^30 (one internal digit) is cheaper than one read
-# from a 64-bit word (three digits), so the queue that next_bit and the word
-# fill read holds 16-bit chunks under their leading 1.  It is refilled 16
-# words at a time, cut in C (to_bytes, slices into a bytearray and a
-# memoryview cast): cutting fewer words per fetch, or wider chunks, made the
-# fill slower.  The shuffle reads b-bit blocks and splices fresh bits above
-# its unread ones, which copies the whole buffer, so it splices 4 words
-# (256 bits) at a time.
-_CHUNK_BITS = 16
-_QUEUE_WORDS = 16
+# Fetch widths.  _more() makes the digits of 16 words (1024 bits) with one
+# format() call; the word fill ran as fast with any width from 4 to 64 words.
+# The shuffle reads b-bit blocks off an int and splices fresh bits above its
+# unread ones, which copies the whole int, so it splices 4 words (256 bits)
+# at a time.
+_DIGIT_WORDS = 16
 _SHUFFLE_WORDS = 4
-_CHUNK_ONES = b"\x01" * (64 * _QUEUE_WORDS // _CHUNK_BITS)  # the leading 1 of each chunk
-_CHUNK_INTS = struct.Struct(f"<{len(_CHUNK_ONES)}I")  # little-endian on every host
-
-
-def _cut(block: int) -> list[int]:
-    """A fetched block's 16-bit chunks, each under a leading 1, last chunk first.
-
-    block holds 64 * _QUEUE_WORDS bits under its leading 1.  Each chunk
-    becomes the little-endian 4-byte unsigned int ``chunk | 1 << 16``.  The
-    list is in reverse stream order, so ``list.pop()`` gives the next chunk.
-    """
-    data = block.to_bytes(1 + 8 * _QUEUE_WORDS, "big")  # the leading 1, then chunk bytes, high first
-    ints = bytearray(4 * len(_CHUNK_ONES))
-    ints[0::4] = data[2::2]  # low byte of each chunk
-    ints[1::4] = data[1::2]  # high byte
-    ints[2::4] = _CHUNK_ONES
-    return list(_CHUNK_INTS.unpack(ints))
 
 
 class BitSource:
@@ -56,45 +33,41 @@ class BitSource:
     Bits are taken from successive 64-bit words of ``random.Random(seed)``,
     least significant bit first.  ``next_bits(k)`` is exactly equivalent to k
     ``next_bit()`` calls with the first-drawn bit in the least significant
-    position; it exists because the buffer makes the bulk form much cheaper
-    than k method calls.
+    position; it exists because one bulk read is much cheaper than k method
+    calls.
 
     Bits enter only through ``_fetch(m)``, which returns the next m words as
     one int under a leading 1, ``getrandbits(64 * m) | 1 << 64 * m`` (the same
     bits, and the same generator state, as m ``getrandbits(64)`` calls), and
     counts m words in ``_words``.  Nothing is fetched before the first read.
-    Unread bits sit in two places, in stream order:
+    The unread bits are ``_bits``, a bytearray of ASCII digits ``0`` and
+    ``1`` with the next bit last: the binary form of the fetched int, leading
+    1 dropped, in which the most significant digit comes first.  So every
+    bit fetched is handed out or still in ``_bits``, and ``bits_consumed`` is
+    exact: ``64 * _words - len(_bits)``.
 
-    - ``_buf``: the bits being read, under a leading 1, so ``_buf == 1`` means
-      it is empty and it holds ``_buf.bit_length() - 1`` bits;
-    - ``_queue``: 16-bit chunks, each under its own leading 1, in reverse
-      order.
-
-    ``_refill()`` pops the next chunk off the queue, cutting 16 fresh words
-    into 64 chunks when it is empty.  Every bit fetched is therefore handed
-    out, queued or in ``_buf``, and ``bits_consumed`` is exact:
-    ``64 * _words - 16 * len(_queue) - (_buf.bit_length() - 1)``.
-
-    Bulk readers inside the package (the word fill and the shuffle) skip the
-    method call per bit: they copy ``_buf`` into a local, read and shift it,
-    take fresh bits above the unread ones only when they need them, and write
-    the local back to ``_buf`` in a ``finally``.  The fill pops ``_queue``
-    itself; the shuffle splices the queued chunks into its local once, then
-    ``_fetch``-es 4 words at a time.
+    ``_more()`` replaces an exhausted ``_bits`` with the digits of 16 fresh
+    words and returns it.  ``next_bit`` pops a digit; ``next_bits(c)`` parses
+    the last c digits as one int, which puts the first-drawn bit lowest, and
+    deletes them, and a read longer than ``_bits`` first puts the digits of
+    one fetch of whole words below the unread ones.  The package's bulk
+    readers skip the method call per bit: the word fill iterates the digits
+    of ``_bits`` backwards and deletes what it read in a ``finally``, and the
+    shuffle turns ``_bits`` into an int on entry and what it leaves back
+    into digits on exit.
     """
 
-    __slots__ = ("_rng", "_buf", "_words", "_queue")
+    __slots__ = ("_rng", "_bits", "_words")
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed & _MASK64)
-        self._buf = 1
+        self._bits = bytearray()
         self._words = 0
-        self._queue: list[int] = []
 
     @property
     def bits_consumed(self) -> int:
         """Bits handed out so far."""
-        return 64 * self._words - _CHUNK_BITS * len(self._queue) - (self._buf.bit_length() - 1)
+        return 64 * self._words - len(self._bits)
 
     def _fetch(self, m: int) -> int:
         """The next m 64-bit words, first word lowest, under a leading 1; counts them."""
@@ -102,38 +75,33 @@ class BitSource:
         width = 64 * m
         return self._rng.getrandbits(width) | 1 << width
 
-    def _refill(self) -> int:
-        """The next 16-bit chunk of the stream under a leading 1, off the queue."""
-        queue = self._queue
-        if not queue:
-            queue += _cut(self._fetch(_QUEUE_WORDS))
-        return queue.pop()
+    def _more(self) -> bytearray:
+        """Replace the exhausted ``_bits`` with the next 16 words' digits, and return it."""
+        self._bits = bits = bytearray(format(self._fetch(_DIGIT_WORDS), "b")[1:], "ascii")
+        return bits
 
     def next_bit(self) -> int:
         """One fair bit, 0 or 1."""
-        buf = self._buf
-        if buf == 1:
-            buf = self._refill()
-        self._buf = buf >> 1
-        return buf & 1
+        return (self._bits or self._more()).pop() - 48
 
     def next_bits(self, count: int) -> int:
         """count fair bits as one integer, first-drawn bit least significant."""
-        if count < 0:
-            raise DomainTooSmallError(f"next_bits needs count >= 0, got {count}")
-        buf = self._buf
-        avail = buf.bit_length() - 1
-        if avail < count:
-            # queued chunks, then whole fresh words in one fetch, go above
-            # the unread bits, so a long read takes time linear in count
-            queue = self._queue
-            while queue and avail < count:
-                buf = buf ^ (1 << avail) | queue.pop() << avail
-                avail += _CHUNK_BITS
-            if avail < count:
-                buf = buf ^ (1 << avail) | self._fetch((count - avail + 63) // 64) << avail
-        self._buf = buf >> count
-        return buf & ((1 << count) - 1)
+        if count < 1:
+            if count < 0:
+                raise DomainTooSmallError(f"next_bits needs count >= 0, got {count}")
+            return 0
+        bits = self._bits
+        cut = len(bits) - count
+        if cut < 0:
+            # one fetch of whole words goes below the unread digits, at least
+            # a block's worth, so short reads seldom fetch and a long read
+            # takes time linear in count
+            words = max((63 - cut) // 64, _DIGIT_WORDS)
+            bits[:0] = format(self._fetch(words), "b")[1:].encode()
+            cut += 64 * words
+        value = int(bits[cut:], 2)
+        del bits[cut:]
+        return value
 
 
 def uniform_int(source: BitSource, m: int) -> int:
@@ -159,13 +127,13 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
 
     Classic swap-down shuffle: for i = n, n-1, .., 2 swap position i with a
     uniform position in 1..i.  Uses Theta(n log n) random bits.  Each
-    position is :func:`uniform_int`'s rejection step, run on a local copy of
-    the source's bit buffer (see :class:`BitSource`): a b-bit block is the
-    low b unread bits.  The queued chunks are spliced in above the buffer's
-    bits once, at the start; after that, whenever fewer than b bits are left,
-    4 fresh words are spliced in above them.  So the blocks, the positions
-    and the bit count are those of ``uniform_int(source, i)`` for
-    i = n, .., 2, and the unread bits are left in ``_buf``.
+    position is :func:`uniform_int`'s rejection step, run on an int holding
+    the source's unread digits (see :class:`BitSource`) under a leading 1,
+    next bit lowest: a b-bit block is its low b unread bits.  Whenever fewer
+    than b bits are left, 4 fresh words are spliced in above them.  So the
+    blocks, the positions and the bit count are those of
+    ``uniform_int(source, i)`` for i = n, .., 2, and the unread bits go back
+    into ``_bits`` as digits.
 
     The result is a permutation by construction, so the permutation sampler
     block-fills it through :func:`lukatree.words._place_blocks`, which checks
@@ -175,13 +143,9 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
     if n < 1:
         raise DomainTooSmallError(f"fisher_yates needs n >= 1, got {n}")
     perm = list(range(1, n + 1))
-    buf = source._buf
-    queue = source._queue
+    buf = int(b"1" + source._bits, 2)
     fetch = source._fetch
     try:
-        while queue:
-            avail = buf.bit_length() - 1
-            buf = buf ^ (1 << avail) | queue.pop() << avail
         # positions i in 2^(b-1)+1 .. 2^b all draw b-bit blocks
         for b in range((n - 1).bit_length(), 0, -1):
             top = 1 << b
@@ -198,5 +162,5 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
                         break
                 perm[i], perm[j] = perm[j], perm[i]
     finally:
-        source._buf = buf
+        source._bits = bytearray(format(buf, "b")[1:], "ascii")
     return perm

@@ -17,9 +17,9 @@ more means the whole interval fits, so the draw returns s.  Until then the
 room stays below 2n, so the loop runs on small integers.
 
 One draw loop serves a single draw and a whole word: it draws a given number
-of letters, takes each out of the pool, and reads its bits from a local copy
-of the source's buffer with no method call per bit.  dichotomic_draw runs it
-once and gives the letter back.
+of letters, takes each out of the pool, and iterates the source's unread
+binary digits with no method call per bit.  dichotomic_draw runs it once and
+gives the letter back.
 
 Sampling a uniform tree with letter counts t then goes one of two ways:
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from operator import length_hint
 from typing import Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
@@ -99,15 +100,15 @@ def _draw_letters(source: BitSource, left: list[int], total: int, count: int) ->
     significant) and scale = 2^depth, the interval [low, low + 1) * total /
     scale and room = cum[s+1] * scale - low * total for the candidate segment
     s.  The interval fits in s, (low + 1) * total <= cum[s+1] * scale, exactly
-    when room >= total.  The bits are read from a local copy of the source's
-    buffer, and when it runs dry the next 16-bit chunk is popped off the
-    source's queue directly (see :class:`~lukatree.bitstream.BitSource`).
-    An empty queue raises IndexError, once per 64 chunks; ``_refill`` then
-    fills it and pops.  The source counts the queued bits from the queue's
-    length, so the loop keeps no count of its own.
+    when room >= total.  The bits are the source's unread digits (see
+    :class:`~lukatree.bitstream.BitSource`), iterated from the last, the next
+    bit, backwards; a digit is 49 for a 1.  When they run out, ``_more`` gives
+    the next block.  The ``finally`` deletes the digits read, so the source's
+    ``bits_consumed`` is exact even if the draw stops on an error, and the
+    loop keeps no count of its own.
     """
-    buf = source._buf
-    pop = source._queue.pop
+    bits = source._bits
+    it = reversed(bits)
     word = []
     try:
         for total in range(total, total - count, -1):  # the pool's size at each draw
@@ -118,23 +119,23 @@ def _draw_letters(source: BitSource, left: list[int], total: int, count: int) ->
                 room = left[s]
             scale = 1
             while room < total:
-                room <<= 1
-                scale <<= 1
-                if buf == 1:
-                    try:
-                        buf = pop()
-                    except IndexError:
-                        buf = source._refill()
-                if buf & 1:
-                    room -= total
-                    while room <= 0:
-                        s += 1
-                        room += left[s] * scale
-                buf >>= 1
+                for bit in it:
+                    room += room
+                    scale += scale
+                    if bit == 49:
+                        room -= total
+                        while room <= 0:
+                            s += 1
+                            room += left[s] * scale
+                    if room >= total:
+                        break
+                else:
+                    bits = source._more()
+                    it = reversed(bits)
             left[s] -= 1
             word.append(s)
     finally:
-        source._buf = buf
+        del bits[length_hint(it):]
     return word
 
 

@@ -31,50 +31,33 @@ class Exhausted(Exception):
     """Raised when a ReplayBitSource runs past its scripted bits."""
 
 
-class _ScriptQueue:
-    """ReplayBitSource's `_queue`: empty to len() and truth tests, yet pop() plays on.
-
-    Loops that splice a queue in while it is non-empty skip it, and a loop
-    that pops a chunk whenever its buffer runs dry gets the next scripted bit
-    under its leading 1, without an IndexError to catch.
-    """
-
-    __slots__ = ("pop",)
-
-    def __init__(self, pop: Callable[[], int]):
-        self.pop = pop
-
-    def __len__(self) -> int:
-        return 0
-
-
 class ReplayBitSource:
     """BitSource stand-in that plays back a fixed bit sequence.
 
-    It keeps BitSource's bulk-reader protocol with one-bit chunks: `_fetch`,
-    `_refill` and `_queue.pop` all return the next scripted bit under a
-    leading 1, and `_queue` is always empty to len(), so the library's loops
-    that read `_buf` or pop `_queue` directly play the script one bit at a
-    time too, and the first bit past its end raises Exhausted wherever it is
-    read.  Those loops take fresh bits only when they need them, so `_buf`
-    is empty again whenever a public call reads the script.
+    It keeps BitSource's bulk-reader protocol one bit at a time: `_fetch`
+    returns the next scripted bit under a leading 1, and `_more` sets and
+    returns a one-digit `_bits` holding it, so the library's loops that read
+    `_bits` or fetch directly play the script one bit at a time too, and the
+    first bit past its end raises Exhausted wherever it is read.  Those loops
+    take fresh bits only when they need them, so `_bits` is empty again
+    whenever a public call reads the script.
     """
 
     def __init__(self, bits: tuple[int, ...]):
         self.bits = bits
         self.pos = 0
-        self._buf = 1
-        self._queue = _ScriptQueue(self._refill)
+        self._bits = bytearray()
 
     @property
     def bits_consumed(self) -> int:
-        return self.pos - (self._buf.bit_length() - 1)
+        return self.pos - len(self._bits)
 
     def _fetch(self, m: int) -> int:
         return 2 | self.next_bit()
 
-    def _refill(self) -> int:
-        return 2 | self.next_bit()
+    def _more(self) -> bytearray:
+        self._bits = bits = bytearray((48 + self.next_bit(),))
+        return bits
 
     def next_bit(self) -> int:
         if self.pos >= len(self.bits):

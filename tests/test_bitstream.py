@@ -16,7 +16,6 @@ from lukatree import (
     tuple_to_valid_word,
     uniform_int,
 )
-from lukatree.bitstream import _cut
 
 
 def test_determinism_and_bit_values():
@@ -108,11 +107,9 @@ def test_next_bits_equals_next_bit_composition():
 
 @pytest.mark.parametrize("offset", [0, 3, 15, 63])
 def test_next_bits_from_inside_the_buffer(offset):
-    # after `offset` single bits the buffer holds what is left of a 16-bit
-    # chunk (nothing when offset is a multiple of 16); counts on both sides
-    # of that, across words, and across the 1024-bit refill of the queue
-    left = -offset % 16
-    for count in sorted({0, 1, left, left + 1, 64, 129, 1024 - offset, 1025 - offset}):
+    # after `offset` single bits, 1024 - offset digits of the first block
+    # are unread; counts on both sides of that, and across words
+    for count in sorted({0, 1, 64, 129, 1024 - offset, 1025 - offset}):
         a = BitSource(7)
         b = BitSource(7)
         for _ in range(offset):
@@ -128,8 +125,7 @@ def test_next_bits_from_inside_the_buffer(offset):
 
 @pytest.mark.parametrize("seed", [0, 12345])
 def test_a_long_read_fetches_once(seed):
-    # beyond the unread and queued bits, next_bits takes whole words in one
-    # _fetch instead of one queued chunk at a time
+    # beyond the unread digits, next_bits takes whole words in one _fetch
     source = _TalliedSource(seed)
     assert source.next_bits(10**5) == _DefinedSource(seed).next_bits(10**5)
     assert source.calls["_fetch"] == 1
@@ -137,20 +133,21 @@ def test_a_long_read_fetches_once(seed):
     defined = _DefinedSource(seed)
     defined.read(10**5)
     assert source.next_bits(1000) == defined.next_bits(1000)
-    # from inside a chunk, the queue is drained before the one fetch
+    # from inside a block, its unread digits are read before the one fetch,
+    # and of that fetch only the bits past the read stay unread
     source = _TalliedSource(seed)
     source.next_bit()
     assert source.next_bits(10**5) == _DefinedSource(seed).next_bits(10**5 + 1) >> 1
-    assert source.calls["_fetch"] == 2 and not source._queue
+    assert source.calls["_fetch"] == 2 and len(source._bits) == -(10**5 + 1) % 64
 
 
 def test_next_bits_rejects_a_negative_count():
     source = BitSource(4)
     source.next_bits(21)
-    buf, queue, consumed = source._buf, list(source._queue), source.bits_consumed
+    bits, consumed = bytes(source._bits), source.bits_consumed
     with pytest.raises(DomainTooSmallError, match="-1"):
         source.next_bits(-1)
-    assert (source._buf, source._queue, source.bits_consumed) == (buf, queue, consumed)
+    assert (source._bits, source.bits_consumed) == (bits, consumed)
     assert source.next_bits(64) == BitSource(4).next_bits(85) >> 21
 
 
@@ -168,11 +165,15 @@ def test_a_wide_getrandbits_is_the_words_in_order(seed):
 @pytest.mark.parametrize(
     "bits", [random.Random(5).getrandbits(1024), 0, 2**1024 - 1], ids=["random", "zeros", "ones"]
 )
-def test_cut_splits_a_block_into_its_chunks(bits):
-    # each 16-bit chunk under its own leading 1, last chunk first
-    block = bits | 1 << 1024
-    want = [(block >> 16 * i) & 0xFFFF | 1 << 16 for i in range(63, -1, -1)]
-    assert _cut(block) == want
+def test_a_block_is_its_bits_as_digits_next_bit_last(bits, monkeypatch):
+    # the digits are the block's 1024 bits, its lowest (the next bit) last
+    source = BitSource(0)
+    monkeypatch.setattr(random.Random, "getrandbits", lambda rng, width: bits)
+    digits = source._more()
+    assert digits is source._bits
+    assert digits == bytearray(b"01"[(bits >> i) & 1] for i in range(1023, -1, -1))
+    assert source.bits_consumed == 0
+    assert [source.next_bit() for _ in range(1024)] == [(bits >> i) & 1 for i in range(1024)]
 
 
 def test_empirical_bit_mean():
@@ -302,10 +303,9 @@ class _TalliedSource(BitSource):
     """Counts the calls at the public bit interfaces and at `_fetch`, and the bits handed out.
 
     Public calls and the package's bulk loops alike take their bits from
-    `_buf` or `_queue`, and bits enter only through `_fetch`, so the bits
-    handed out are the bits fetched less the bits still queued or unread.
-    `fetched` is summed from the returned blocks themselves, and the queued
-    bits from the chunks in `_queue`, apart from BitSource's own `_words`
+    `_bits`, and bits enter only through `_fetch`, so the bits handed out are
+    the bits fetched less the digits still unread.  `fetched` is summed from
+    the returned blocks themselves, apart from BitSource's own `_words`
     counter.
     """
 
@@ -316,8 +316,7 @@ class _TalliedSource(BitSource):
 
     @property
     def tally(self):
-        queued = sum(chunk.bit_length() - 1 for chunk in self._queue)
-        return self.fetched - queued - (self._buf.bit_length() - 1)
+        return self.fetched - len(self._bits)
 
     def _fetch(self, m):
         self.calls["_fetch"] += 1
@@ -351,8 +350,8 @@ def test_no_hidden_entropy():
 @pytest.mark.parametrize("op", ["fill", "shuffle"])
 def test_bulk_loops_make_no_call_per_bit(op):
     # at n = 10001 the word fill and the shuffle read the buffer themselves;
-    # from a fresh source the fill fetches 16 words (1024 bits) for its
-    # queue and the shuffle 4 words (256 bits) for its buffer, no earlier
+    # from a fresh source the fill fetches 16 words (1024 bits) of digits
+    # and the shuffle 4 words (256 bits) for its int, no earlier
     source = _TalliedSource(11)
     if op == "fill":
         tuple_to_valid_word(source, (3334, 3334, 3333), motzkin_alphabet())

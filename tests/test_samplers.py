@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lukatree
-from conftest import exact_distribution
-from test_bitstream import _DefinedSource, _reference_fisher_yates
+from conftest import Exhausted, ReplayBitSource, exact_distribution
+from test_bitstream import _DefinedSource, _defined_stream, _reference_fisher_yates
 from lukatree import samplers, words
 from lukatree import (
     METHODS,
@@ -205,16 +205,47 @@ def _read(source, defined, kind, arg):
 )
 @example(seed=-1, reads=[("next_bits", 1000), ("shuffle", 5000), ("next_bit", 3), ("fill", (101, 50, 100))])
 @example(seed=2**64 + 3, reads=[("next_bit", 5), ("fill", (3, 40, 2)), ("shuffle", 4000), ("draw", [1, 2])])
+# next_bits(c) with c the 24 unread digits, then a fill that starts on the
+# emptied digits; and next_bits(c) with c one more than the unread digits
+@example(seed=5, reads=[("next_bits", 1000), ("next_bits", 24), ("fill", (101, 50, 100))])
+@example(seed=5, reads=[("next_bits", 1000), ("next_bits", 25), ("draw", [1, 2])])
 def test_stream_is_the_same_under_any_mix_of_readers(seed, reads):
     # every reader takes the defined stream's next bits in order, whatever
-    # came before it: the buffer, the queue and the unfetched words stay in
-    # stream order across queue refills, shuffle splices and batch ends
+    # came before it: the unread digits and the unfetched words stay in
+    # stream order across block refills, shuffle splices and batch ends
     source, defined = BitSource(seed), _DefinedSource(seed)
     for kind, arg in reads:
         got, want = _read(source, defined, kind, arg)
         assert got == want, (kind, arg)
         assert source.bits_consumed == defined.bits_consumed, (kind, arg)
     assert [source.next_bit() for _ in range(70)] == defined.read(70)
+
+
+_ONE_OF_EACH = (
+    lambda source: tuple_to_valid_word(source, (21, 7, 20), parse_alphabet("a:-1,b:0,c:1")),
+    lambda source: fisher_yates(source, 300),
+    lambda source: dichotomic_draw(source, DiscreteWeights((3, 1, 2))),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 99, 2**64 + 7])
+def test_the_replay_oracle_reads_as_the_source_does(seed):
+    # exact_distribution's ReplayBitSource, given the bits BitSource(seed)
+    # spends on a run of reads, gives the same results and bit count, and
+    # one bit fewer raises Exhausted: whichever reader ends the run, the
+    # oracle reads no bit the source does not
+    reads = _ONE_OF_EACH * 2
+    for end in range(1, len(reads) + 1):
+        source = BitSource(seed)
+        want = [read(source) for read in reads[:end]]
+        script = tuple(_defined_stream(seed, source.bits_consumed))
+        replay = ReplayBitSource(script)
+        assert [read(replay) for read in reads[:end]] == want
+        assert replay.bits_consumed == source.bits_consumed
+        short = ReplayBitSource(script[:-1])
+        with pytest.raises(Exhausted):
+            for read in reads[:end]:
+                read(short)
 
 
 def test_one_letter_word_costs_nothing():
