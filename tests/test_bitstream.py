@@ -108,8 +108,9 @@ def test_next_bits_equals_next_bit_composition():
 @pytest.mark.parametrize("offset", [0, 3, 15, 63])
 def test_next_bits_from_inside_the_buffer(offset):
     # after `offset` single bits, 1024 - offset digits of the first block
-    # are unread; counts on both sides of that, and across words
-    for count in sorted({0, 1, 64, 129, 1024 - offset, 1025 - offset}):
+    # are unread; counts on both sides of that, across words, and on both
+    # sides of a read that needs more than the one block a short read fetches
+    for count in sorted({0, 1, 64, 129, 1024 - offset, 1025 - offset, 2048 - offset, 2049 - offset}):
         a = BitSource(7)
         b = BitSource(7)
         for _ in range(offset):
