@@ -265,6 +265,19 @@ def test_wide_arity_alphabet_matches_scalar():
 
 
 @pytest.mark.parametrize(
+    "rows,bad,why",
+    [
+        ([[2, 0, 0], [2, 1, 0]], 1, "ends at level 0"),  # cba leaves a slot unfilled
+        ([[2, 0, 0], [2, 2, 2], [0, 2, 0]], 1, "ends at level 3"),
+    ],
+)
+def test_heights_reject_rows_that_are_not_lukasiewicz(motzkin, rows, bad, why):
+    words = np.array(rows, dtype=np.int8)
+    with pytest.raises(NotAValidWordError, match=f"row {bad} .*{why}"):
+        batch_heights(words, motzkin.degrees)
+
+
+@pytest.mark.parametrize(
     "rows,bad,level",
     [
         ([[2, 0, 0], [2, 1, 0]], 1, 0),  # cba leaves a slot unfilled
