@@ -136,10 +136,15 @@ def _walk(words: np.ndarray, degrees: tuple[int, ...]) -> tuple[np.ndarray, np.n
     included, so the rotated path stays within width = max S - min S + 1
     levels, with at most one to spare.  Levels stay within +-n times the
     widest degree, which must fit in int32, or the keys would wrap: such
-    words raise LimitExceededError before the walk.
+    words raise LimitExceededError before the walk.  A letter outside the
+    alphabet, which take() would wrap, raises ArityMismatchError.
     """
     wT = np.ascontiguousarray(words.T)
     n, reps = wT.shape
+    k = len(degrees)
+    if wT.min(initial=0) < 0 or wT.max(initial=0) >= k:
+        row = int(((wT < 0) | (wT >= k)).any(axis=0).argmax())
+        raise ArityMismatchError(f"row {row} has a letter outside the alphabet of {k} letters")
     widest = max(map(abs, degrees))
     if n * widest >= 2**31:
         raise LimitExceededError(
@@ -170,7 +175,8 @@ def _walk(words: np.ndarray, degrees: tuple[int, ...]) -> tuple[np.ndarray, np.n
 def batch_rotate(words: np.ndarray, degrees: tuple[int, ...]) -> np.ndarray:
     """Rotate each row, a valid word, just past the first minimum of its path (cycle lemma).
 
-    A row whose path does not end at -1 raises NotAValidWordError, naming
+    A row whose path does not end at -1 raises NotAValidWordError, and a
+    row with a letter outside the alphabet ArityMismatchError, each naming
     the first such row, as the scalar to_lukasiewicz does; words whose
     levels could leave int32 (n times the widest degree at least 2^31)
     raise LimitExceededError.  The path is walked one position at a time

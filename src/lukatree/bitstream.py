@@ -6,11 +6,16 @@ bits are fetched in bulk and kept as binary digits until they are handed
 out, but ``bits_consumed`` goes up by exactly one per bit handed out and by
 nothing else, so the entropy cost of any composite operation can be read off
 as a counter difference.
+
+How the unread bits are kept is known to this module alone: its two bulk
+readers, :func:`fisher_yates` and the dichotomic draw ``_draw_letters``,
+live here, and every other reader calls ``next_bit`` or ``next_bits``.
 """
 
 from __future__ import annotations
 
 import random
+from operator import length_hint
 
 from .errors import DomainTooSmallError
 
@@ -50,10 +55,11 @@ class BitSource:
     words and returns it.  ``next_bit`` pops a digit; ``next_bits(c)`` parses
     the last c digits as one int, which puts the first-drawn bit lowest, and
     deletes them, and a read longer than ``_bits`` first puts the digits of
-    one fetch of whole words below the unread ones.  The package's bulk
-    readers skip the method call per bit: the word fill iterates the digits
-    of ``_bits`` backwards and deletes what it read in a ``finally``, and the
-    shuffle turns ``_bits`` into an int on entry and what it leaves back
+    one fetch of whole words below the unread ones.  The word fill,
+    ``_draw_letters``, iterates the digits backwards (a 1 is the byte 49),
+    calls ``_more()`` when they run out, and deletes what it read in a
+    ``finally``, so ``bits_consumed`` is exact even when an error stops it.
+    The shuffle turns ``_bits`` into an int on entry and what it leaves back
     into digits on exit.
     """
 
@@ -132,8 +138,7 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
     next bit lowest: a b-bit block is its low b unread bits.  Whenever fewer
     than b bits are left, 4 fresh words are spliced in above them.  So the
     blocks, the positions and the bit count are those of
-    ``uniform_int(source, i)`` for i = n, .., 2, and the unread bits go back
-    into ``_bits`` as digits.
+    ``uniform_int(source, i)`` for i = n, .., 2.
 
     The result is a permutation by construction, so the permutation sampler
     block-fills it through :func:`lukatree.words._place_blocks`, which checks
@@ -164,3 +169,46 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
     finally:
         source._bits = bytearray(format(buf, "b")[1:], "ascii")
     return perm
+
+
+def _draw_letters(source: BitSource, left: list[int], total: int, count: int) -> list[int]:
+    """The dichotomic draw, count times, each letter taken out of left.
+
+    left holds non-negative weights summing to total >= count.  Each draw
+    keeps, after depth bits with low the bits read (first bit most
+    significant) and scale = 2^depth, the interval [low, low + 1) * total /
+    scale and room = cum[s+1] * scale - low * total for the candidate segment
+    s.  The interval fits in s, (low + 1) * total <= cum[s+1] * scale, exactly
+    when room >= total.  The bits are the source's unread digits, read as
+    :class:`BitSource` describes, so the loop keeps no count of its own.
+    """
+    bits = source._bits
+    it = reversed(bits)
+    word = []
+    try:
+        for total in range(total, total - count, -1):  # the pool's size at each draw
+            s = 0
+            room = left[0]
+            while room <= 0:  # start at the first non-empty segment
+                s += 1
+                room = left[s]
+            scale = 1
+            while room < total:
+                for bit in it:
+                    room += room
+                    scale += scale
+                    if bit == 49:
+                        room -= total
+                        while room <= 0:
+                            s += 1
+                            room += left[s] * scale
+                    if room >= total:
+                        break
+                else:
+                    bits = source._more()
+                    it = reversed(bits)
+            left[s] -= 1
+            word.append(s)
+    finally:
+        del bits[length_hint(it):]
+    return word

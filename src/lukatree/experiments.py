@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import DegreeTuple, motzkin_alphabet
-from .bitstream import _MASK64, BitSource
+from .bitstream import _MASK64, BitSource, _draw_letters
 from .errors import DomainTooSmallError, InfeasibleParityError, LukatreeError
-from .samplers import METHODS, _draw_letters, mean_cost_closed_form, sample_lukasiewicz_word
+from .samplers import METHODS, mean_cost_closed_form, sample_lukasiewicz_word
 
 __all__ = [
     "motzkin_tuple",

@@ -17,9 +17,9 @@ more means the whole interval fits, so the draw returns s.  Until then the
 room stays below 2n, so the loop runs on small integers.
 
 One draw loop serves a single draw and a whole word: it draws a given number
-of letters, takes each out of the pool, and iterates the source's unread
-binary digits with no method call per bit.  dichotomic_draw runs it once and
-gives the letter back.
+of letters and takes each out of the pool.  It lives in
+:mod:`lukatree.bitstream`, beside the source whose unread bits it reads.
+dichotomic_draw runs it once and gives the letter back.
 
 Sampling a uniform tree with letter counts t then goes one of two ways:
 
@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from operator import length_hint
 from typing import Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
-from .bitstream import BitSource, fisher_yates
+from .bitstream import BitSource, _draw_letters, fisher_yates
 from .errors import DomainTooSmallError, LimitExceededError, LukatreeError
 from .tree import PlanarTree
 from .words import _place_blocks, to_lukasiewicz
@@ -92,53 +91,6 @@ class DiscreteWeights:
         ws[index] -= 1
 
 
-def _draw_letters(source: BitSource, left: list[int], total: int, count: int) -> list[int]:
-    """The dichotomic draw, count times, each letter taken out of left.
-
-    left holds non-negative weights summing to total >= count.  Each draw
-    keeps, after depth bits with low the bits read (first bit most
-    significant) and scale = 2^depth, the interval [low, low + 1) * total /
-    scale and room = cum[s+1] * scale - low * total for the candidate segment
-    s.  The interval fits in s, (low + 1) * total <= cum[s+1] * scale, exactly
-    when room >= total.  The bits are the source's unread digits (see
-    :class:`~lukatree.bitstream.BitSource`), iterated from the last, the next
-    bit, backwards; a digit is 49 for a 1.  When they run out, ``_more`` gives
-    the next block.  The ``finally`` deletes the digits read, so the source's
-    ``bits_consumed`` is exact even if the draw stops on an error, and the
-    loop keeps no count of its own.
-    """
-    bits = source._bits
-    it = reversed(bits)
-    word = []
-    try:
-        for total in range(total, total - count, -1):  # the pool's size at each draw
-            s = 0
-            room = left[0]
-            while room <= 0:  # start at the first non-empty segment
-                s += 1
-                room = left[s]
-            scale = 1
-            while room < total:
-                for bit in it:
-                    room += room
-                    scale += scale
-                    if bit == 49:
-                        room -= total
-                        while room <= 0:
-                            s += 1
-                            room += left[s] * scale
-                    if room >= total:
-                        break
-                else:
-                    bits = source._more()
-                    it = reversed(bits)
-            left[s] -= 1
-            word.append(s)
-    finally:
-        del bits[length_hint(it):]
-    return word
-
-
 def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
     """Index i (0-based) with probability weights[i] / total, from fair bits.
 
@@ -147,15 +99,9 @@ def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
     weight the draw is free.  A weight edited below zero, or a total below 1,
     is a DomainTooSmallError, raised before any bit is read.
 
-    After depth bits the interval is [low * total / 2^depth,
-    (low + 1) * total / 2^depth): low holds the bits read so far, first bit
-    most significant, so a 1-bit keeps the upper half.  The draw tracks the
-    candidate segment's room, cum[s+1] * 2^depth - low * total, instead of
-    low itself: a bit maps it to 2 * room - bit * total, the segment changes
-    only when the room drops to zero or below, and the interval fits once
-    the room reaches total.  That is the dyadic-interval test step for step,
-    so the index and the bits read are the same.  Everything stays an exact
-    integer, so no rounding ever happens.
+    The draw is the room-tracking loop of the module docstring run once: the
+    dyadic-interval test step for step, on exact integers, so no rounding
+    ever happens.
     """
     ws = weights.weights
     if min(ws, default=0) < 0:

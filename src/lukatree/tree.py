@@ -91,16 +91,13 @@ def word_to_tree(word: Sequence[int], alphabet: TreeAlphabet) -> PlanarTree:
 
 def height(tree: PlanarTree) -> int:
     """Largest node depth; 0 for a single leaf."""
-    best = 0
-    stack = [(0, 0)]
-    children = tree.children
-    while stack:
-        node, depth = stack.pop()
-        if depth > best:
-            best = depth
-        for child in children[node]:
-            stack.append((child, depth + 1))
-    return best
+    # preorder puts every parent before its children, so one pass fills depth
+    depth = [0] * len(tree.letters)
+    for node, kids in enumerate(tree.children):
+        below = depth[node] + 1
+        for kid in kids:
+            depth[kid] = below
+    return max(depth)
 
 
 def serialize(tree: PlanarTree, fmt: str = "paren") -> str:

@@ -40,7 +40,9 @@ class ReplayBitSource:
     `_bits` or fetch directly play the script one bit at a time too, and the
     first bit past its end raises Exhausted wherever it is read.  Those loops
     take fresh bits only when they need them, so `_bits` is empty again
-    whenever a public call reads the script.
+    whenever a public call reads the script.  `next_bits` is atomic, as
+    BitSource's is: when fewer than count scripted bits remain it raises
+    Exhausted and consumes none.
     """
 
     def __init__(self, bits: tuple[int, ...]):
@@ -67,9 +69,13 @@ class ReplayBitSource:
         return bit
 
     def next_bits(self, count: int) -> int:
+        end = self.pos + count
+        if end > len(self.bits):
+            raise Exhausted
         out = 0
-        for i in range(count):
-            out |= self.next_bit() << i
+        for i, bit in enumerate(self.bits[self.pos:end]):
+            out |= bit << i
+        self.pos = end
         return out
 
 

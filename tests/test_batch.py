@@ -293,6 +293,15 @@ def test_rotated_heights_reject_rows_that_do_not_end_at_minus_1(motzkin, rows, b
         measure(words, motzkin.degrees)
 
 
+@pytest.mark.parametrize("letter", [-1, 3])
+@pytest.mark.parametrize("measure", [batch_rotate, batch_heights])
+def test_rotated_heights_reject_letters_outside_the_alphabet(motzkin, letter, measure):
+    # -1 would wrap round the degree table to c, the last letter; 3 is past it
+    words = np.array([[2, 0, 0], [letter, 0, 0], [0, letter, 0]], dtype=np.int8)
+    with pytest.raises(ArityMismatchError, match="^row 1 has a letter outside the alphabet"):
+        measure(words, motzkin.degrees)
+
+
 def test_rotated_heights_take_any_rotation_of_a_valid_word(motzkin):
     # every rotation of a valid word ends at -1, so the walk measures its
     # Lukasiewicz rotation, caa, whichever rotation it is given

@@ -50,6 +50,20 @@ def _raises():
                 yield path.name, ast.unparse(exc)
 
 
+def test_only_bitstream_touches_the_unread_bits():
+    # how BitSource keeps its unread bits is bitstream's alone: no other
+    # module reads _bits or calls _more or _fetch
+    private = {"_bits", "_more", "_fetch"}
+    found = sorted(
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in Path(lukatree.__file__).parent.glob("*.py")
+        if path.name != "bitstream.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    )
+    assert found == []
+
+
 def test_every_domain_error_is_raised():
     # an exception class that nothing raises is a dead export
     from lukatree import errors

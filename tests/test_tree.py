@@ -117,10 +117,15 @@ def _height_by_recursion(tree, node=0):
 
 
 def test_height_matches_recursive_oracle(motzkin):
-    for counts in ((4, 0, 3), (3, 2, 2), (1, 6, 0), (5, 1, 4)):
-        for word in enumerate_lukasiewicz(DegreeTuple(counts), motzkin):
-            tree = word_to_tree(word, motzkin)
-            assert height(tree) == _height_by_recursion(tree)
+    four = TreeAlphabet(("a", "b", "c", "d"), (-1, 0, 1, 2))
+    for alphabet, tuples in (
+        (motzkin, ((4, 0, 3), (3, 2, 2), (1, 6, 0), (5, 1, 4))),
+        (four, ((3, 1, 0, 1), (4, 0, 1, 1), (3, 1, 2, 0), (6, 1, 1, 2))),
+    ):
+        for counts in tuples:
+            for word in enumerate_lukasiewicz(DegreeTuple(counts), alphabet):
+                tree = word_to_tree(word, alphabet)
+                assert height(tree) == _height_by_recursion(tree)
 
 
 def test_deep_caterpillar_does_not_recurse(motzkin):
