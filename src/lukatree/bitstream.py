@@ -23,8 +23,9 @@ __all__ = ["BitSource", "uniform_int", "fisher_yates"]
 
 _MASK64 = (1 << 64) - 1
 
-# Fetch widths.  _more() makes the digits of 16 words (1024 bits) with one
-# format() call; the word fill ran as fast with any width from 4 to 64 words.
+# Fetch widths.  _more() makes the digits of 16 words (1024 bits), or of as
+# many more as a long read needs, with one format() call; the word fill ran
+# as fast with any width from 4 to 64 words.
 # The shuffle reads b-bit blocks off an int and splices fresh bits above its
 # unread ones, which copies the whole int, so it splices 4 words (256 bits)
 # at a time.
@@ -45,22 +46,22 @@ class BitSource:
     one int under a leading 1, ``getrandbits(64 * m) | 1 << 64 * m`` (the same
     bits, and the same generator state, as m ``getrandbits(64)`` calls), and
     counts m words in ``_words``.  Nothing is fetched before the first read.
-    The unread bits are ``_bits``, a bytearray of ASCII digits ``0`` and
-    ``1`` with the next bit last: the binary form of the fetched int, leading
-    1 dropped, in which the most significant digit comes first.  So every
-    bit fetched is handed out or still in ``_bits``, and ``bits_consumed`` is
-    exact: ``64 * _words - len(_bits)``.
+    The unread bits are ``_bits``, one bytearray for the source's life, of
+    ASCII digits ``0`` and ``1`` with the next bit last: the binary form of the
+    fetched int, leading 1 dropped, in which the most significant digit comes
+    first.  So every bit fetched is handed out or still in ``_bits``, and
+    ``bits_consumed`` is exact: ``64 * _words - len(_bits)``.
 
-    ``_more()`` replaces an exhausted ``_bits`` with the digits of 16 fresh
-    words and returns it.  ``next_bit`` pops a digit; ``next_bits(c)`` parses
-    the last c digits as one int, which puts the first-drawn bit lowest, and
-    deletes them, and a read longer than ``_bits`` first puts the digits of
-    one fetch of whole words below the unread ones.  The word fill,
-    ``_draw_letters``, iterates the digits backwards (a 1 is the byte 49),
-    calls ``_more()`` when they run out, and deletes what it read in a
-    ``finally``, so ``bits_consumed`` is exact even when an error stops it.
-    The shuffle turns ``_bits`` into an int on entry and what it leaves back
-    into digits on exit.
+    ``_more(count)`` is the one place where fetched bits become digits: it
+    puts the digits of one fetch, 16 words or as many as count unread digits
+    need, below the unread ones in place, and returns ``_bits``.  ``next_bit``
+    pops a digit; ``next_bits(c)`` calls ``_more(c)`` when short, then parses
+    the last c digits as one int (first-drawn bit lowest) and deletes them.
+    The word fill, ``_draw_letters``, iterates the digits backwards (a 1 is
+    the byte 49), clears them and calls ``_more()`` when it has read them all,
+    and deletes what it read in a ``finally``, so ``bits_consumed`` is exact
+    even when an error stops it.  The shuffle reads ``_bits`` as an int and
+    writes what it leaves back.
     """
 
     __slots__ = ("_rng", "_bits", "_words")
@@ -81,9 +82,11 @@ class BitSource:
         width = 64 * m
         return self._rng.getrandbits(width) | 1 << width
 
-    def _more(self) -> bytearray:
-        """Replace the exhausted ``_bits`` with the next 16 words' digits, and return it."""
-        self._bits = bits = bytearray(format(self._fetch(_DIGIT_WORDS), "b")[1:], "ascii")
+    def _more(self, count: int = 1) -> bytearray:
+        """Put the digits of one fetch, enough for count unread, below ``_bits``; return it."""
+        bits = self._bits
+        words = max((63 + count - len(bits)) // 64, _DIGIT_WORDS)
+        bits[:0] = format(self._fetch(words), "b")[1:].encode()
         return bits
 
     def next_bit(self) -> int:
@@ -97,16 +100,10 @@ class BitSource:
                 raise DomainTooSmallError(f"next_bits needs count >= 0, got {count}")
             return 0
         bits = self._bits
-        cut = len(bits) - count
-        if cut < 0:
-            # one fetch of whole words goes below the unread digits, at least
-            # a block's worth, so short reads seldom fetch and a long read
-            # takes time linear in count
-            words = max((63 - cut) // 64, _DIGIT_WORDS)
-            bits[:0] = format(self._fetch(words), "b")[1:].encode()
-            cut += 64 * words
-        value = int(bits[cut:], 2)
-        del bits[cut:]
+        if len(bits) < count:
+            self._more(count)
+        value = int(bits[-count:], 2)
+        del bits[-count:]
         return value
 
 
@@ -167,7 +164,7 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
                         break
                 perm[i], perm[j] = perm[j], perm[i]
     finally:
-        source._bits = bytearray(format(buf, "b")[1:], "ascii")
+        source._bits[:] = format(buf, "b")[1:].encode()
     return perm
 
 
@@ -205,8 +202,8 @@ def _draw_letters(source: BitSource, left: list[int], total: int, count: int) ->
                     if room >= total:
                         break
                 else:
-                    bits = source._more()
-                    it = reversed(bits)
+                    bits.clear()
+                    it = reversed(source._more())
             left[s] -= 1
             word.append(s)
     finally:

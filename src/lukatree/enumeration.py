@@ -14,7 +14,7 @@ exact-law tests their support sets.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
 from .errors import LimitExceededError
@@ -30,21 +30,19 @@ __all__ = [
 DEFAULT_ENUMERATION_LIMIT = 12
 
 
-def _multinomial(total: int, counts: Sequence[int]) -> int:
+def _multinomial(counts: Sequence[int]) -> int:
     # product of binomials keeps every intermediate an exact small-ish integer
     out = 1
     acc = 0
     for c in counts:
         acc += c
         out *= math.comb(acc, c)
-    assert acc == total
     return out
 
 
 def valid_word_count(t: CountsLike, alphabet: TreeAlphabet) -> int:
     """Number of valid words with letter counts t: n! / prod n_i!."""
-    counts = f_valid_counts(t, alphabet)
-    return _multinomial(sum(counts), counts)
+    return _multinomial(f_valid_counts(t, alphabet))
 
 
 def tutte_count(t: CountsLike, alphabet: TreeAlphabet) -> int:
@@ -53,44 +51,55 @@ def tutte_count(t: CountsLike, alphabet: TreeAlphabet) -> int:
     Equals valid_word_count / n exactly (cycle lemma).
     """
     counts = f_valid_counts(t, alphabet)
-    n = sum(counts)
-    words = _multinomial(n, counts)
-    trees, rem = divmod(words, n)
+    trees, rem = divmod(_multinomial(counts), sum(counts))
     assert rem == 0, "cycle lemma guarantees divisibility for f-valid tuples"
     return trees
 
 
 def _arrangements(
-    counts: Sequence[int], degrees: Sequence[int], prune_prefix: bool
-) -> Iterator[tuple[int, ...]]:
-    """All distinct arrangements of the letter multiset, lexicographic by index.
+    t: CountsLike, alphabet: TreeAlphabet, limit: int, prune_prefix: bool
+) -> list[tuple[int, ...]]:
+    """All distinct arrangements of the letter multiset t, lexicographic by index.
 
-    With prune_prefix, branches whose path dips below 0 before the last letter
-    are cut, which leaves exactly the Lukasiewicz words.
+    Refuses tuples with total above limit.  With prune_prefix, a letter that
+    takes the path below 0 before the last position is not tried, which
+    leaves exactly the Lukasiewicz words.  The walk is a flat backtracking
+    loop, so its depth is not bound by the interpreter's recursion limit.
     """
+    counts = f_valid_counts(t, alphabet)
     n = sum(counts)
-    remaining = list(counts)
-    word: list[int] = []
+    if n > limit:
+        raise LimitExceededError(
+            f"tuple total {n} exceeds enumeration limit {limit}; raise `limit` "
+            "explicitly if you really want exhaustion"
+        )
+    degrees = alphabet.degrees
     k = len(counts)
-
-    def extend(s: int) -> Iterator[tuple[int, ...]]:
-        pos = len(word)
-        if pos == n:
-            yield tuple(word)
-            return
-        for letter in range(k):
-            if remaining[letter] == 0:
-                continue
-            s2 = s + degrees[letter]
-            if prune_prefix and s2 < 0 and pos < n - 1:
-                continue
-            remaining[letter] -= 1
-            word.append(letter)
-            yield from extend(s2)
-            word.pop()
-            remaining[letter] += 1
-
-    return extend(0)
+    left = list(counts)
+    word: list[int] = []
+    out = []
+    level = 0
+    letter = 0  # the next letter to try at position len(word)
+    while True:
+        if letter < k:
+            if left[letter] and (
+                not prune_prefix or level + degrees[letter] >= 0 or len(word) == n - 1
+            ):
+                left[letter] -= 1
+                level += degrees[letter]
+                word.append(letter)
+                if len(word) == n:
+                    out.append(tuple(word))
+                letter = 0
+            else:
+                letter += 1
+        elif word:
+            letter = word.pop()
+            left[letter] += 1
+            level -= degrees[letter]
+            letter += 1
+        else:
+            return out
 
 
 def enumerate_lukasiewicz(
@@ -101,23 +110,11 @@ def enumerate_lukasiewicz(
     Refuses tuples with total above `limit` (default 12): the output grows
     like (n-1)!/prod n_i! and exhaustion is meant for oracle-sized inputs.
     """
-    counts = f_valid_counts(t, alphabet)
-    n = sum(counts)
-    if n > limit:
-        raise LimitExceededError(
-            f"tuple total {n} exceeds enumeration limit {limit}; raise `limit` "
-            "explicitly if you really want exhaustion"
-        )
-    return list(_arrangements(counts, alphabet.degrees, prune_prefix=True))
+    return _arrangements(t, alphabet, limit, prune_prefix=True)
 
 
 def enumerate_valid_words(
     t: CountsLike, alphabet: TreeAlphabet, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> list[tuple[int, ...]]:
     """All valid words with letter counts t (every arrangement of the multiset)."""
-    counts = f_valid_counts(t, alphabet)
-    if sum(counts) > limit:
-        raise LimitExceededError(
-            f"tuple total {sum(counts)} exceeds enumeration limit {limit}"
-        )
-    return list(_arrangements(counts, alphabet.degrees, prune_prefix=False))
+    return _arrangements(t, alphabet, limit, prune_prefix=False)

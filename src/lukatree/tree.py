@@ -36,11 +36,16 @@ class PlanarTree:
     The root is node 0 and nodes are numbered in preorder (children left to
     right), which is exactly the order of the word.  ``children[i]`` lists
     node i's children; it is decoded from the word the first time it is read.
-    Build trees with :func:`word_to_tree`, which checks the word.
+    Build trees with :func:`word_to_tree`, which checks the word; the
+    constructor rejects only the empty word, which encodes no tree.
     """
 
     alphabet: TreeAlphabet
     letters: list[int]
+
+    def __post_init__(self) -> None:
+        if not self.letters:
+            raise NotAValidWordError("the empty word encodes no tree")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -72,21 +77,19 @@ def word_to_tree(word: Sequence[int], alphabet: TreeAlphabet) -> PlanarTree:
     NotAValidWordError.
     """
     path = path_heights(word, alphabet)
-    n = len(path)
-    if n == 0:
-        raise NotAValidWordError("the empty word encodes no tree")
+    tree = PlanarTree(alphabet, [int(x) for x in word])  # refuses the empty word
     # steps are >= -1, so a path that goes below 0 first touches -1
     if min(path) >= 0:
         raise NotAValidWordError(
             f"{path[-1] + 1} child slots left unfilled; not a Lukasiewicz word"
         )
     done = path.index(-1) + 1
-    if done < n:
+    if done < len(path):
         raise NotAValidWordError(
-            f"tree complete after {done} letters but the word has {n}; "
+            f"tree complete after {done} letters but the word has {len(path)}; "
             "not a Lukasiewicz word"
         )
-    return PlanarTree(alphabet, [int(x) for x in word])
+    return tree
 
 
 def height(tree: PlanarTree) -> int:

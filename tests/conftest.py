@@ -35,10 +35,11 @@ class ReplayBitSource:
     """BitSource stand-in that plays back a fixed bit sequence.
 
     It keeps BitSource's bulk-reader protocol one bit at a time: `_fetch`
-    returns the next scripted bit under a leading 1, and `_more` sets and
-    returns a one-digit `_bits` holding it, so the library's loops that read
-    `_bits` or fetch directly play the script one bit at a time too, and the
-    first bit past its end raises Exhausted wherever it is read.  Those loops
+    returns the next scripted bit under a leading 1, and `_more` puts its
+    digit below the unread ones in `_bits`, in place, and returns `_bits`, so
+    the library's loops that read `_bits` or fetch directly play the script
+    one bit at a time too, and the first bit past its end raises Exhausted
+    wherever it is read.  Those loops
     take fresh bits only when they need them, so `_bits` is empty again
     whenever a public call reads the script.  `next_bits` is atomic, as
     BitSource's is: when fewer than count scripted bits remain it raises
@@ -57,9 +58,9 @@ class ReplayBitSource:
     def _fetch(self, m: int) -> int:
         return 2 | self.next_bit()
 
-    def _more(self) -> bytearray:
-        self._bits = bits = bytearray((48 + self.next_bit(),))
-        return bits
+    def _more(self, count: int = 1) -> bytearray:
+        self._bits.insert(0, 48 + self.next_bit())
+        return self._bits
 
     def next_bit(self) -> int:
         if self.pos >= len(self.bits):

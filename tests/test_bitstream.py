@@ -177,6 +177,22 @@ def test_a_block_is_its_bits_as_digits_next_bit_last(bits, monkeypatch):
     assert [source.next_bit() for _ in range(1024)] == [(bits >> i) & 1 for i in range(1024)]
 
 
+@pytest.mark.parametrize("count", [1, 1019, 1020, 3000])
+def test_more_puts_one_fetch_below_the_unread_digits(count):
+    # after 5 bits, 1019 digits are unread; _more(count) adds the digits of
+    # one fetch of whole words, 16 or as many as count unread need, in the
+    # one buffer, and the stream reads on as defined
+    source = _TalliedSource(9)
+    source.next_bits(5)
+    bits = source._bits
+    assert source._more(count) is bits
+    assert source.calls["_fetch"] == 2
+    assert len(bits) == 1019 + 64 * max(-(-(count - 1019) // 64), 16) >= count
+    assert source.bits_consumed == source.tally == 5
+    assert source.next_bits(4000) == _DefinedSource(9).next_bits(4005) >> 5
+    assert source._bits is bits
+
+
 def test_empirical_bit_mean():
     source = BitSource(2024)
     ones = sum(source.next_bits(64).bit_count() for _ in range(1_000_000 // 64 + 1))
@@ -336,13 +352,15 @@ class _TalliedSource(BitSource):
 
 def test_no_hidden_entropy():
     # bits_consumed must equal the bits actually handed out, composite ops
-    # included, and a fresh source that skips that many bits is in step
+    # included, and a fresh source that skips that many bits is in step;
+    # every reader consumes and refills the one _bits buffer in place
     source = _TalliedSource(3)
+    bits = source._bits
     fisher_yates(source, 500)
     uniform_int(source, 1000)
     source.next_bit()
     tuple_to_valid_word(source, (21, 7, 20), motzkin_alphabet())
-    assert source.bits_consumed == source.tally
+    assert source.bits_consumed == source.tally and source._bits is bits
     fresh = BitSource(3)
     fresh.next_bits(source.bits_consumed)
     assert fresh.next_bits(64) == source.next_bits(64)

@@ -61,6 +61,13 @@ def test_enumerate(capsys):
     assert out == "cacaa\nccaaa\n"
 
 
+def test_enumerate_a_tree_deeper_than_the_recursion_limit(capsys):
+    code, out, err = run_cli(
+        capsys, "enumerate", "--alphabet", "a:-1,b:0", "--tuple", "1,1500", "--limit", "2000"
+    )
+    assert (code, out, err) == (0, "b" * 1500 + "a\n", "")
+
+
 def test_render_paren(capsys):
     code, out, _ = run_cli(capsys, "render", "--alphabet", MOTZKIN, "--word", "cacbaba")
     assert code == 0

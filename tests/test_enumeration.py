@@ -10,6 +10,7 @@ from lukatree import (
     classify,
     enumerate_lukasiewicz,
     enumerate_valid_words,
+    parse_alphabet,
     tutte_count,
     valid_word_count,
 )
@@ -109,3 +110,12 @@ def test_catalan_sequence(binary):
         assert tutte_count(t, binary) == expected
         assert math.comb(2 * b, b) // (b + 1) == expected
         assert len(enumerate_lukasiewicz(t, binary, limit=13)) == expected
+
+
+def test_deep_enumeration_does_not_recurse():
+    # one tree of 1,501 letters, and 1,101 valid words of 1,101 letters:
+    # both deeper than the interpreter's default recursion limit
+    alphabet = parse_alphabet("a:-1,b:0")
+    assert enumerate_lukasiewicz((1, 1500), alphabet, limit=2000) == [(1,) * 1500 + (0,)]
+    words = enumerate_valid_words((1, 1100), alphabet, limit=2000)
+    assert words == [(1,) * i + (0,) + (1,) * (1100 - i) for i in range(1101)]

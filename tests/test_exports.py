@@ -64,6 +64,46 @@ def test_only_bitstream_touches_the_unread_bits():
     assert found == []
 
 
+def test_only_bitsource_init_binds_the_unread_bits():
+    # a BitSource keeps one _bits buffer for its life: __init__ binds it, and
+    # every other writer changes it in place
+    found = []
+    for path in Path(lukatree.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        init = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "BitSource"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "_bits"
+            and not isinstance(node.ctx, ast.Load)
+            and id(node) not in init
+        ]
+    assert found == []
+
+
+def test_no_function_calls_itself():
+    # nothing in the package recurses, so no input is bound by the
+    # interpreter's recursion limit
+    found = sorted(
+        f"{path.name}:{call.lineno} {fn.name}"
+        for path in Path(lukatree.__file__).parent.glob("*.py")
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and fn.name == getattr(call.func, "id", getattr(call.func, "attr", None))
+    )
+    assert found == []
+
+
 def test_every_domain_error_is_raised():
     # an exception class that nothing raises is a dead export
     from lukatree import errors

@@ -7,6 +7,7 @@ from lukatree import (
     DegreeTuple,
     LukatreeError,
     NotAValidWordError,
+    PlanarTree,
     TreeAlphabet,
     enumerate_lukasiewicz,
     height,
@@ -36,6 +37,8 @@ def test_decode_worked_example(motzkin):
 def test_decode_rejects_malformed_words(motzkin):
     with pytest.raises(NotAValidWordError, match="^the empty word encodes no tree$"):
         word_to_tree((), motzkin)
+    with pytest.raises(NotAValidWordError, match="^the empty word encodes no tree$"):
+        PlanarTree(motzkin, [])
     # complete too early
     with pytest.raises(NotAValidWordError, match="^tree complete after 1 letters but the word has 2;"):
         word_to_tree(motzkin.parse_word("aa"), motzkin)
