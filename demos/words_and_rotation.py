@@ -7,6 +7,7 @@ that rotation is a Lukasiewicz word, i.e. the preorder code of a tree.
 """
 
 from lukatree import (
+    PlanarTree,
     classify,
     motzkin_alphabet,
     path_heights,
@@ -14,7 +15,6 @@ from lukatree import (
     rotations_that_are_lukasiewicz,
     serialize,
     to_lukasiewicz,
-    word_to_tree,
 )
 
 alphabet = motzkin_alphabet()
@@ -36,7 +36,7 @@ print(f"classification:   {classify(rotated, alphabet).value}")
 hits = rotations_that_are_lukasiewicz(word, alphabet)
 print(f"\nbrute force over all 7 rotations confirms: exactly {hits} is Lukasiewicz")
 
-tree = word_to_tree(rotated, alphabet)
+tree = PlanarTree(alphabet, rotated)
 print(f"\ndecoded tree (children in preorder): {serialize(tree, 'paren')}")
 print("\nas Graphviz input:")
 print(serialize(tree, "dot"))

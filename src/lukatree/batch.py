@@ -88,7 +88,8 @@ def batch_valid_words(
     The dichotomic method draws letter pos of every row at once, from one
     `rng.integers(0, n - pos, size=reps)` call per position, and returns the
     transposed view of a position-major (n, reps) array; the permutation
-    method shuffles a C-ordered (reps, n) array in place.
+    method shuffles a C-ordered (reps, n) array in place.  reps = 0 gives an
+    empty (0, n) array; a negative reps is a DomainTooSmallError.
     """
     for letter, count in enumerate(counts):
         if count < 0:
@@ -97,6 +98,8 @@ def batch_valid_words(
     n = sum(counts)
     if n < 1:
         raise DomainTooSmallError(f"need a non-empty multiset, got counts {counts}")
+    if reps < 0:
+        raise DomainTooSmallError(f"reps must be >= 0, got {reps}")
     if k > 127:
         raise LimitExceededError(f"int8 words hold at most 127 letters, got {k}")
     if method == "permutation":

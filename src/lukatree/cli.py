@@ -34,7 +34,7 @@ from .experiments import (
     run_height_scan,
 )
 from .samplers import sample_tree
-from .tree import SERIALIZE_FORMATS, serialize, word_to_tree
+from .tree import SERIALIZE_FORMATS, PlanarTree, serialize
 from .words import classify, path_heights
 
 _METHOD_NAMES = {"perm": "permutation", "dicho": "dichotomic"}
@@ -166,7 +166,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
 def _cmd_render(args: argparse.Namespace) -> None:
     alphabet = parse_alphabet(args.alphabet)
     word = alphabet.parse_word(args.word)
-    print(serialize(word_to_tree(word, alphabet), args.format))
+    print(serialize(PlanarTree(alphabet, word), args.format))
 
 
 def _cmd_bitcost(args: argparse.Namespace) -> None:

@@ -75,8 +75,11 @@ def nearest_feasible_unary(n: int, u: int) -> int:
     """Adjust a requested unary count to the nearest feasible one.
 
     When n-u is even the instance does not exist; the neighbour below is the
-    nearest fix, except u=0, where only u=1 is available.
+    nearest fix, except u=0, where only u=1 is available.  n must be at least
+    1 and u within 0..n, else DomainTooSmallError.
     """
+    if n < 1 or not 0 <= u <= n:
+        raise DomainTooSmallError(f"need n >= 1 and 0 <= u <= n, got n={n}, u={u}")
     if (n - u) % 2 == 0:
         u = u - 1 if u >= 1 else u + 1
     return u

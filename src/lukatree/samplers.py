@@ -41,8 +41,8 @@ from typing import Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
 from .bitstream import BitSource, _draw_letters, fisher_yates
-from .errors import DomainTooSmallError, LimitExceededError, LukatreeError
-from .tree import PlanarTree
+from .errors import ArityMismatchError, DomainTooSmallError, LimitExceededError, LukatreeError
+from .tree import PlanarTree, _unchecked_tree
 from .words import _place_blocks, to_lukasiewicz
 
 __all__ = [
@@ -78,14 +78,14 @@ class DiscreteWeights:
     def decrement(self, index: int) -> None:
         """Take one unit of weight off index (it must have some left).
 
-        index must be a position in weights: a negative one would silently hit
-        a weight counted from the end.  A weight's domain is the integers >= 0, so an
-        exhausted weight would drop below it: DomainTooSmallError, as for a
-        negative weight given.
+        index must be a position in weights, else ArityMismatchError: a
+        negative one would silently hit a weight counted from the end.  A
+        weight's domain is the integers >= 0, so an exhausted weight would drop
+        below it: DomainTooSmallError, as for a negative weight given.
         """
         ws = self.weights
         if not 0 <= index < len(ws):
-            raise IndexError(f"weight index {index} outside 0..{len(ws) - 1}")
+            raise ArityMismatchError(f"weight index {index} outside 0..{len(ws) - 1}")
         if ws[index] < 1:
             raise DomainTooSmallError(f"weight {index} already exhausted")
         ws[index] -= 1
@@ -168,12 +168,13 @@ def sample_tree(
     """Uniform rooted planar tree with letter counts t.
 
     Thin composition: sample a valid word (by the chosen method), rotate it
-    to the Lukasiewicz representative, wrap it as a tree (the rotation has
-    proved the word, so word_to_tree's check is skipped).  Uniformity over
-    trees follows from uniformity over valid words plus the cycle lemma.
+    to the Lukasiewicz representative, wrap it as a tree.  The rotation has
+    proved the word, so tree._unchecked_tree wraps it without walking its
+    path again, as PlanarTree's constructor would.  Uniformity over trees
+    follows from uniformity over valid words plus the cycle lemma.
     """
     word = sample_lukasiewicz_word(source, t, alphabet, method)
-    return PlanarTree(alphabet, list(word))
+    return _unchecked_tree(alphabet, list(word))
 
 
 def mean_cost_closed_form(k: int) -> Fraction:

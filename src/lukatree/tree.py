@@ -2,10 +2,10 @@
 
 A Lukasiewicz word is read left to right as the preorder letter sequence of a
 rooted planar tree: a letter of degree d opens a node with d+1 children.  A
-:class:`PlanarTree` therefore stores only that word; the child lists are
-decoded from it on first use, on an explicit stack of unfilled child slots,
-so deep (caterpillar-like) trees of any size are fine.  Nothing in this
-module recurses.
+:class:`PlanarTree` therefore stores only that word, which its constructor
+checks; the child lists are decoded from it on first use, on an explicit
+stack of unfilled child slots, so deep (caterpillar-like) trees of any size
+are fine.  Nothing in this module recurses.
 """
 
 from __future__ import annotations
@@ -36,16 +36,34 @@ class PlanarTree:
     The root is node 0 and nodes are numbered in preorder (children left to
     right), which is exactly the order of the word.  ``children[i]`` lists
     node i's children; it is decoded from the word the first time it is read.
-    Build trees with :func:`word_to_tree`, which checks the word; the
-    constructor rejects only the empty word, which encodes no tree.
+
+    The constructor checks the word on one walk of its path and stores its
+    letters as a list of ints.  Letters outside the alphabet raise
+    ArityMismatchError.  The empty word, a word whose path touches -1 before
+    its last letter (the tree is complete with letters left over), and a word
+    whose degree total is not -1 (child slots left unfilled) raise
+    NotAValidWordError.
     """
 
     alphabet: TreeAlphabet
     letters: list[int]
 
     def __post_init__(self) -> None:
-        if not self.letters:
+        path = path_heights(self.letters, self.alphabet)
+        if not path:
             raise NotAValidWordError("the empty word encodes no tree")
+        # steps are >= -1, so a path that goes below 0 first touches -1
+        if min(path) >= 0:
+            raise NotAValidWordError(
+                f"{path[-1] + 1} child slots left unfilled; not a Lukasiewicz word"
+            )
+        done = path.index(-1) + 1
+        if done < len(path):
+            raise NotAValidWordError(
+                f"tree complete after {done} letters but the word has {len(path)}; "
+                "not a Lukasiewicz word"
+            )
+        self.letters = [int(x) for x in self.letters]
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -68,39 +86,34 @@ class PlanarTree:
         return children
 
 
-def word_to_tree(word: Sequence[int], alphabet: TreeAlphabet) -> PlanarTree:
-    """The tree of a Lukasiewicz word, after checking the word's path.
-
-    Letters outside the alphabet raise ArityMismatchError.  A word whose path
-    touches -1 before its last letter (the tree is complete with letters left
-    over), or whose degree total is not -1 (child slots left unfilled), raises
-    NotAValidWordError.
-    """
-    path = path_heights(word, alphabet)
-    tree = PlanarTree(alphabet, [int(x) for x in word])  # refuses the empty word
-    # steps are >= -1, so a path that goes below 0 first touches -1
-    if min(path) >= 0:
-        raise NotAValidWordError(
-            f"{path[-1] + 1} child slots left unfilled; not a Lukasiewicz word"
-        )
-    done = path.index(-1) + 1
-    if done < len(path):
-        raise NotAValidWordError(
-            f"tree complete after {done} letters but the word has {len(path)}; "
-            "not a Lukasiewicz word"
-        )
+def _unchecked_tree(alphabet: TreeAlphabet, letters: list[int]) -> PlanarTree:
+    """The PlanarTree of letters, a list of ints already known to be a
+    Lukasiewicz word over alphabet: nothing is checked."""
+    tree = object.__new__(PlanarTree)
+    tree.alphabet, tree.letters = alphabet, letters
     return tree
+
+
+def word_to_tree(word: Sequence[int], alphabet: TreeAlphabet) -> PlanarTree:
+    """The tree of a Lukasiewicz word: ``PlanarTree(alphabet, word)``."""
+    return PlanarTree(alphabet, word)
 
 
 def height(tree: PlanarTree) -> int:
     """Largest node depth; 0 for a single leaf."""
-    # preorder puts every parent before its children, so one pass fills depth
-    depth = [0] * len(tree.letters)
-    for node, kids in enumerate(tree.children):
-        below = depth[node] + 1
-        for kid in kids:
-            depth[kid] = below
-    return max(depth)
+    # one pass over the word on a stack of unfilled child slots, each holding
+    # its depth: a node takes the top slot's depth and pushes its children's
+    degrees = tree.alphabet.degrees
+    slots = [0]
+    deepest = 0
+    for letter in tree.letters:
+        depth = slots.pop()
+        kids = degrees[letter] + 1
+        if kids:
+            slots += [depth + 1] * kids
+        elif depth > deepest:
+            deepest = depth
+    return deepest
 
 
 def serialize(tree: PlanarTree, fmt: str = "paren") -> str:

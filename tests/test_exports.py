@@ -89,6 +89,25 @@ def test_only_bitsource_init_binds_the_unread_bits():
     assert found == []
 
 
+def test_only_sample_tree_builds_unchecked_trees():
+    # PlanarTree checks its word; only sample_tree, whose rotation has proved
+    # the word, may build a tree through _unchecked_tree, which checks nothing
+    found = []
+    for path in Path(lukatree.__file__).parent.glob("*.py"):
+        module = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(module):  # outer functions come first
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(id(node), fn.name)
+        found += [
+            f"{path.name} {owner.get(id(node), '<module>')}"
+            for node in ast.walk(module)
+            if "_unchecked_tree" in (getattr(node, "id", None), getattr(node, "attr", None))
+        ]
+    assert found == ["samplers.py sample_tree"]
+
+
 def test_no_function_calls_itself():
     # nothing in the package recurses, so no input is bound by the
     # interpreter's recursion limit
@@ -113,21 +132,12 @@ def test_every_domain_error_is_raised():
     assert unused == []
 
 
-# raises in src/ of classes outside errors.__all__, each kept for a reason
-FOREIGN_RAISES_BY_DESIGN = {
-    # DiscreteWeights.decrement: an index outside the weights is a lookup
-    # error, not a domain error
-    ("samplers.py", "IndexError"),
-}
-
-
 def test_src_raises_only_package_errors():
-    # a caller that catches LukatreeError catches every error the package
-    # raises, but for those listed
+    # a caller that catches LukatreeError catches every error the package raises
     from lukatree import errors
 
     foreign = {(file, name) for file, name in _raises() if name not in errors.__all__}
-    assert foreign == FOREIGN_RAISES_BY_DESIGN
+    assert foreign == set()
 
 
 # public names that no code outside the tests reads, each kept for a reason

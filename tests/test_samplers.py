@@ -13,6 +13,7 @@ from test_bitstream import _DefinedSource, _defined_stream, _reference_fisher_ya
 from lukatree import samplers, words
 from lukatree import (
     METHODS,
+    ArityMismatchError,
     BitSource,
     DegreeTuple,
     DiscreteWeights,
@@ -66,7 +67,7 @@ def test_discrete_weights_validation():
 @pytest.mark.parametrize("index", [-1, -3, 3])
 def test_decrement_rejects_an_index_outside_the_weights(index):
     w = DiscreteWeights((2, 1, 1))
-    with pytest.raises(IndexError, match=str(index)):
+    with pytest.raises(ArityMismatchError, match=str(index)):
         w.decrement(index)
     assert w.weights == [2, 1, 1]
 

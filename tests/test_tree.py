@@ -54,6 +54,24 @@ def test_decode_rejects_malformed_words(motzkin):
         word_to_tree(motzkin.parse_word("aca"), motzkin)
 
 
+@pytest.mark.parametrize(
+    "letters, error, message",
+    [
+        ([], NotAValidWordError, "^the empty word encodes no tree$"),
+        ([2], NotAValidWordError, "^2 child slots left unfilled; not a Lukasiewicz word$"),
+        ([-1], ArityMismatchError, "^letter index -1 outside alphabet of 3 letters$"),
+        ([0, 0], NotAValidWordError, "^tree complete after 1 letters but the word has 2; "),
+        ([5], ArityMismatchError, "^letter index 5 outside alphabet of 3 letters$"),
+        ([1, 0, 0], NotAValidWordError, "^tree complete after 2 letters but the word has 3; "),
+    ],
+)
+def test_constructor_checks_the_word(motzkin, letters, error, message):
+    with pytest.raises(error, match=message):
+        PlanarTree(motzkin, letters)
+    with pytest.raises(error, match=message):
+        word_to_tree(letters, motzkin)
+
+
 @pytest.mark.parametrize("bad", [-1, -3, 3])
 def test_decode_rejects_letters_outside_the_alphabet(motzkin, bad):
     # negative indices would otherwise wrap around the alphabet's degrees
@@ -179,7 +197,8 @@ def test_round_trip_exhaustive(motzkin, binary):
         for counts in tuples:
             words = enumerate_lukasiewicz(DegreeTuple(counts), alphabet)
             for word in words:
-                tree = word_to_tree(word, alphabet)
-                assert tuple(tree.letters) == tuple(word)
+                tree = PlanarTree(alphabet, word)
+                assert type(tree.letters) is list and tuple(tree.letters) == tuple(word)
+                assert word_to_tree(word, alphabet) == tree
                 assert _preorder_letters(tree) == list(word)
                 assert tuple(tree.letters.count(i) for i in range(alphabet.k)) == counts
