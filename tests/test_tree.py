@@ -35,50 +35,35 @@ def test_decode_worked_example(motzkin):
 
 
 def test_decode_rejects_malformed_words(motzkin):
-    with pytest.raises(NotAValidWordError, match="^the empty word encodes no tree$"):
-        word_to_tree((), motzkin)
-    with pytest.raises(NotAValidWordError, match="^the empty word encodes no tree$"):
-        PlanarTree(motzkin, [])
-    # complete too early
-    with pytest.raises(NotAValidWordError, match="^tree complete after 1 letters but the word has 2;"):
-        word_to_tree(motzkin.parse_word("aa"), motzkin)
-    with pytest.raises(NotAValidWordError, match="^tree complete after 3 letters but the word has 4;"):
-        word_to_tree(motzkin.parse_word("caac"), motzkin)
-    # slots unfilled
-    with pytest.raises(NotAValidWordError, match="^2 child slots left unfilled;"):
-        word_to_tree(motzkin.parse_word("c"), motzkin)
-    with pytest.raises(NotAValidWordError, match="^1 child slots left unfilled;"):
-        word_to_tree(motzkin.parse_word("bb"), motzkin)  # never terminates a branch
-    # valid but not Lukasiewicz
-    with pytest.raises(NotAValidWordError, match="^tree complete after 1 letters but the word has 3;"):
-        word_to_tree(motzkin.parse_word("aca"), motzkin)
-
-
-@pytest.mark.parametrize(
-    "letters, error, message",
-    [
-        ([], NotAValidWordError, "^the empty word encodes no tree$"),
-        ([2], NotAValidWordError, "^2 child slots left unfilled; not a Lukasiewicz word$"),
-        ([-1], ArityMismatchError, "^letter index -1 outside alphabet of 3 letters$"),
-        ([0, 0], NotAValidWordError, "^tree complete after 1 letters but the word has 2; "),
-        ([5], ArityMismatchError, "^letter index 5 outside alphabet of 3 letters$"),
-        ([1, 0, 0], NotAValidWordError, "^tree complete after 2 letters but the word has 3; "),
-    ],
-)
-def test_constructor_checks_the_word(motzkin, letters, error, message):
-    with pytest.raises(error, match=message):
-        PlanarTree(motzkin, letters)
-    with pytest.raises(error, match=message):
-        word_to_tree(letters, motzkin)
+    cases = [
+        ("", "^the empty word encodes no tree$"),
+        # complete too early
+        ("aa", "^tree complete after 1 letters but the word has 2; not a Lukasiewicz word$"),
+        ("caac", "^tree complete after 3 letters but the word has 4;"),
+        ("baa", "^tree complete after 2 letters but the word has 3;"),
+        # slots unfilled
+        ("c", "^2 child slots left unfilled; not a Lukasiewicz word$"),
+        ("bb", "^1 child slots left unfilled;"),  # never terminates a branch
+        # valid but not Lukasiewicz
+        ("aca", "^tree complete after 1 letters but the word has 3;"),
+    ]
+    for text, message in cases:
+        word = motzkin.parse_word(text)
+        with pytest.raises(NotAValidWordError, match=message):
+            PlanarTree(motzkin, list(word))
+        with pytest.raises(NotAValidWordError, match=message):
+            word_to_tree(word, motzkin)
 
 
 @pytest.mark.parametrize("bad", [-1, -3, 3])
 def test_decode_rejects_letters_outside_the_alphabet(motzkin, bad):
     # negative indices would otherwise wrap around the alphabet's degrees
-    with pytest.raises(ArityMismatchError):
-        word_to_tree((2, bad, 0), motzkin)
-    with pytest.raises(ArityMismatchError):
-        word_to_tree((bad,), motzkin)
+    message = f"^letter index {bad} outside alphabet of 3 letters$"
+    for word in ([2, bad, 0], [bad]):
+        with pytest.raises(ArityMismatchError, match=message):
+            PlanarTree(motzkin, word)
+        with pytest.raises(ArityMismatchError, match=message):
+            word_to_tree(tuple(word), motzkin)
 
 
 def test_serialize_paren_frozen(motzkin):
