@@ -42,21 +42,25 @@ class BitSource:
     position; it exists because one bulk read is much cheaper than k method
     calls.
 
-    Bits enter only through ``_fetch(m)``, which returns the next m words as
-    one int under a leading 1, ``getrandbits(64 * m) | 1 << 64 * m`` (the same
-    bits, and the same generator state, as m ``getrandbits(64)`` calls), and
-    counts m words in ``_words``.  Nothing is fetched before the first read.
+    Bits enter only through ``_fetch(m)``, the one method a stand-in
+    overrides.  It returns the next bits as one int under a leading 1, first
+    bit lowest, and counts them in ``_fetched``: here m words,
+    ``getrandbits(64 * m) | 1 << 64 * m`` (the same bits, and the same
+    generator state, as m ``getrandbits(64)`` calls), though a fetch may hand
+    over fewer, at least one.  Nothing is fetched before the first read.
     The unread bits are ``_bits``, one bytearray for the source's life, of
     ASCII digits ``0`` and ``1`` with the next bit last: the binary form of the
     fetched int, leading 1 dropped, in which the most significant digit comes
     first.  So every bit fetched is handed out or still in ``_bits``, and
-    ``bits_consumed`` is exact: ``64 * _words - len(_bits)``.
+    ``bits_consumed`` is exact: ``_fetched - len(_bits)``.
 
     ``_more(count)`` is the one place where fetched bits become digits: it
-    puts the digits of one fetch, 16 words or as many as count unread digits
-    need, below the unread ones in place, and returns ``_bits``.  ``next_bit``
-    pops a digit; ``next_bits(c)`` calls ``_more(c)`` when short, then parses
-    the last c digits as one int (first-drawn bit lowest) and deletes them.
+    puts the digits of one fetch, asked for 16 words or as many as count
+    unread digits need, below the unread ones in place, and returns
+    ``_bits``.  Every reader fetches again while it holds fewer bits than it
+    needs: ``next_bit`` pops a digit; ``next_bits(c)`` calls ``_more(c)``
+    until it holds c digits, then parses the last c as one int (first-drawn
+    bit lowest) and deletes them.
     The word fill, ``_draw_letters``, iterates the digits backwards (a 1 is
     the byte 49), clears them and calls ``_more()`` when it has read them all,
     and deletes what it read in a ``finally``, so ``bits_consumed`` is exact
@@ -64,26 +68,26 @@ class BitSource:
     writes what it leaves back.
     """
 
-    __slots__ = ("_rng", "_bits", "_words")
+    __slots__ = ("_rng", "_bits", "_fetched")
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed & _MASK64)
         self._bits = bytearray()
-        self._words = 0
+        self._fetched = 0
 
     @property
     def bits_consumed(self) -> int:
         """Bits handed out so far."""
-        return 64 * self._words - len(self._bits)
+        return self._fetched - len(self._bits)
 
     def _fetch(self, m: int) -> int:
-        """The next m 64-bit words, first word lowest, under a leading 1; counts them."""
-        self._words += m
+        """The next m 64-bit words under a leading 1, first word lowest; counts the bits."""
         width = 64 * m
+        self._fetched += width
         return self._rng.getrandbits(width) | 1 << width
 
     def _more(self, count: int = 1) -> bytearray:
-        """Put the digits of one fetch, enough for count unread, below ``_bits``; return it."""
+        """Put the digits of one fetch, asked to make count unread, below ``_bits``; return it."""
         bits = self._bits
         words = max((63 + count - len(bits)) // 64, _DIGIT_WORDS)
         bits[:0] = format(self._fetch(words), "b")[1:].encode()
@@ -100,7 +104,7 @@ class BitSource:
                 raise DomainTooSmallError(f"next_bits needs count >= 0, got {count}")
             return 0
         bits = self._bits
-        if len(bits) < count:
+        while len(bits) < count:
             self._more(count)
         value = int(bits[-count:], 2)
         del bits[-count:]

@@ -31,8 +31,8 @@ class AlphabetError(LukatreeError):
 class ArityMismatchError(LukatreeError):
     """A word or counts tuple does not fit its alphabet.
 
-    A letter index outside the alphabet, a character that is no letter of
-    it, a counts tuple of the wrong length, counts that are negative, empty
+    A letter index outside the alphabet or not an int, a character that is
+    no letter of it, a counts tuple of the wrong length, counts that are negative, empty
     or not integers, or a weight index outside a DiscreteWeights.
     """
 

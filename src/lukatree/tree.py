@@ -38,10 +38,10 @@ class PlanarTree:
     node i's children; it is decoded from the word the first time it is read.
 
     The constructor checks the word on one walk of its path and stores its
-    letters as a list of ints.  Letters outside the alphabet raise
-    ArityMismatchError.  The empty word, a word whose path touches -1 before
-    its last letter (the tree is complete with letters left over), and a word
-    whose degree total is not -1 (child slots left unfilled) raise
+    letters as a list of ints.  Letters that are no index of the alphabet
+    raise ArityMismatchError.  The empty word, a word whose path touches -1
+    before its last letter (the tree is complete with letters left over), and
+    a word whose degree total is not -1 (child slots left unfilled) raise
     NotAValidWordError.
     """
 

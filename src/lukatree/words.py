@@ -49,14 +49,18 @@ def path_heights(word: Sequence[int], alphabet: TreeAlphabet) -> list[int]:
     """Prefix sums s_1..s_n of the letter degrees (the lattice path)."""
     degrees = alphabet.degrees
     k = alphabet.k
+    letters = iter(word)
     steps = []
-    for letter in word:
-        if not 0 <= letter < k:
-            raise ArityMismatchError(
-                f"letter index {letter} outside alphabet of {k} letters"
-            )
-        steps.append(degrees[letter])
-    return list(accumulate(steps))
+    try:
+        for letter in letters:
+            if not 0 <= letter < k:
+                break
+            steps.append(degrees[letter])
+        else:
+            return list(accumulate(steps))
+    except TypeError:  # "c" and None fail the compare, 2.0 the index
+        pass
+    raise ArityMismatchError(f"letter index {letter} outside alphabet of {k} letters")
 
 
 def classify(word: Sequence[int], alphabet: TreeAlphabet) -> Classification:

@@ -5,7 +5,9 @@ trusting a sampler's math, we run the real implementation over every bit
 string up to a depth, weight each completed run by 2^-bits, and obtain its
 output law as exact rationals up to a provable residual.  That turns
 "returns i with probability w_i / n" into a checkable statement about the
-code as written, independent of how the code arrives at it.
+code as written, independent of how the code arrives at it.  The replay
+is a BitSource that overrides only `_fetch`, the one place where bits enter,
+so every reader under test is BitSource's own.
 
 ScriptedGenerator does the same for the numpy batch engine, which draws from
 a numpy Generator rather than from fair bits.  It stands in for the two
@@ -26,58 +28,41 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from lukatree import BitSource
+
 
 class Exhausted(Exception):
     """Raised when a ReplayBitSource runs past its scripted bits."""
 
 
-class ReplayBitSource:
-    """BitSource stand-in that plays back a fixed bit sequence.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
-    It keeps BitSource's bulk-reader protocol one bit at a time: `_fetch`
-    returns the next scripted bit under a leading 1, and `_more` puts its
-    digit below the unread ones in `_bits`, in place, and returns `_bits`, so
-    the library's loops that read `_bits` or fetch directly play the script
-    one bit at a time too, and the first bit past its end raises Exhausted
-    wherever it is read.  Those loops
-    take fresh bits only when they need them, so `_bits` is empty again
-    whenever a public call reads the script.  `next_bits` is atomic, as
-    BitSource's is: when fewer than count scripted bits remain it raises
-    Exhausted and consumes none.
+
+class ReplayBitSource(BitSource):
+    """BitSource that plays back a fixed bit sequence.
+
+    It overrides only `_fetch`, the one place where bits enter a BitSource:
+    the first fetch hands over every scripted bit, first bit lowest under a
+    leading 1, and counts them, and a fetch with no bit left raises
+    Exhausted.  So the library's own readers run on the script unchanged.
+    Each of them fetches only when it holds fewer bits than it needs, so a
+    run raises Exhausted exactly when it needs a bit past the script, and
+    `bits_consumed` counts the scripted bits it has read.
     """
 
     def __init__(self, bits: tuple[int, ...]):
-        self.bits = bits
-        self.pos = 0
+        # BitSource.__init__ would also seed a Random that a replay never reads
         self._bits = bytearray()
-
-    @property
-    def bits_consumed(self) -> int:
-        return self.pos - len(self._bits)
+        self._fetched = 0
+        self._script = bits
 
     def _fetch(self, m: int) -> int:
-        return 2 | self.next_bit()
-
-    def _more(self, count: int = 1) -> bytearray:
-        self._bits.insert(0, 48 + self.next_bit())
-        return self._bits
-
-    def next_bit(self) -> int:
-        if self.pos >= len(self.bits):
+        script = self._script
+        if not script:
             raise Exhausted
-        bit = self.bits[self.pos]
-        self.pos += 1
-        return bit
-
-    def next_bits(self, count: int) -> int:
-        end = self.pos + count
-        if end > len(self.bits):
-            raise Exhausted
-        out = 0
-        for i, bit in enumerate(self.bits[self.pos:end]):
-            out |= bit << i
-        self.pos = end
-        return out
+        self._script = ()
+        self._fetched += len(script)
+        return int(b"1" + bytes(script[::-1]).translate(_DIGITS), 2)
 
 
 def exact_distribution(

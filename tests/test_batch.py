@@ -438,6 +438,23 @@ def test_batch_valid_words_pinned_rows(method):
     assert ["".join(map(str, row)) for row in words.tolist()] == PINNED_WORDS[method]
 
 
+def test_numpy_generator_streams_are_the_recorded_ones():
+    # the batch words, and so the pinned rows and height-scan CSVs, are
+    # functions of these two Generator streams, recorded on numpy 2.4.6; a
+    # numpy that draws them differently fails here, naming the primitive
+    draws = np.random.default_rng([7, 0]).integers(0, 1000, size=2048)
+    got = (draws[:8].tolist(), int(draws.sum()))
+    assert got == ([944, 625, 684, 897, 578, 775, 833, 225], 1038457), (
+        f"Generator.integers stream changed under numpy {np.__version__}: {got}"
+    )
+    words = np.tile(np.arange(8, dtype=np.int8), (4, 1))
+    np.random.default_rng([7, 0]).permuted(words, axis=1, out=words)
+    got = ["".join(map(str, row)) for row in words.tolist()]
+    assert got == ["06724513", "73620415", "34520716", "64735120"], (
+        f"Generator.permuted stream changed under numpy {np.__version__}: {got}"
+    )
+
+
 def test_heights_beyond_int8_arity():
     # arity 200: a root with 200 leaf children, whose path reaches n - 2, and
     # a spine of 50 such nodes, each the first child of the one before

@@ -231,6 +231,15 @@ def test_uniform_int_exact_distribution():
             assert abs(probs[v] - Fraction(1, m)) <= residual
 
 
+def test_next_bits_exact_distribution():
+    # BitSource's own next_bits and _more under the oracle: k bits are
+    # exactly uniform on 0..2^k - 1, and every run ends within k bits
+    for k in range(1, 5):
+        probs, residual = exact_distribution(lambda src: src.next_bits(k), max_depth=k)
+        assert residual == 0
+        assert probs == {v: Fraction(1, 2**k) for v in range(2**k)}
+
+
 def test_uniform_int_expected_bits_m3():
     # 8/3 bits on average: 2-bit blocks, acceptance probability 3/4
     source = BitSource(31337)
@@ -322,7 +331,7 @@ class _TalliedSource(BitSource):
     Public calls and the package's bulk loops alike take their bits from
     `_bits`, and bits enter only through `_fetch`, so the bits handed out are
     the bits fetched less the digits still unread.  `fetched` is summed from
-    the returned blocks themselves, apart from BitSource's own `_words`
+    the returned blocks themselves, apart from BitSource's own `_fetched`
     counter.
     """
 

@@ -226,6 +226,8 @@ _ONE_OF_EACH = (
     lambda source: tuple_to_valid_word(source, (21, 7, 20), parse_alphabet("a:-1,b:0,c:1")),
     lambda source: fisher_yates(source, 300),
     lambda source: dichotomic_draw(source, DiscreteWeights((3, 1, 2))),
+    lambda source: source.next_bits(70),
+    lambda source: source.next_bit(),
 )
 
 

@@ -55,9 +55,10 @@ def test_decode_rejects_malformed_words(motzkin):
             word_to_tree(word, motzkin)
 
 
-@pytest.mark.parametrize("bad", [-1, -3, 3])
+@pytest.mark.parametrize("bad", [-1, -3, 3, 2.0, "c", None])
 def test_decode_rejects_letters_outside_the_alphabet(motzkin, bad):
-    # negative indices would otherwise wrap around the alphabet's degrees
+    # negative indices would otherwise wrap around the alphabet's degrees,
+    # and a letter that is no int would end in a bare TypeError
     message = f"^letter index {bad} outside alphabet of 3 letters$"
     for word in ([2, bad, 0], [bad]):
         with pytest.raises(ArityMismatchError, match=message):
