@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import AlphabetError, ArityMismatchError, TupleNotValidError
+from .errors import AlphabetError, ArityMismatchError, TupleNotValidError, _is_int
 
 __all__ = [
     "TreeAlphabet",
@@ -56,9 +56,11 @@ class TreeAlphabet:
 
     def __post_init__(self) -> None:
         letters = tuple(self.letters)
-        degrees = tuple(int(d) for d in self.degrees)
+        degrees = tuple(self.degrees)
+        if not all(map(_is_int, degrees)):
+            raise AlphabetError(f"degrees must be integers: {degrees!r}")
         object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "degrees", tuple(map(int, degrees)))
         if len(letters) != len(degrees) or not letters:
             raise AlphabetError(
                 f"need equally many letters and degrees, got {len(letters)} letters "
@@ -92,9 +94,8 @@ class TreeAlphabet:
             ) from None
 
     def format_word(self, word: Sequence[int]) -> str:
-        """Inverse of parse_word."""
-        letters = self.letters
-        return "".join([letters[i] for i in word])
+        """Inverse of parse_word; a letter outside the alphabet is an ArityMismatchError."""
+        return "".join(_per_letter(self.letters, word))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TreeAlphabet({format_alphabet(self)!r})"
@@ -107,10 +108,10 @@ class DegreeTuple:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if not counts or any(c < 0 for c in counts):
-            raise ArityMismatchError(f"counts must be non-negative and non-empty: {counts!r}")
+        counts = tuple(self.counts)
+        if not counts or not all(_is_int(c) and c >= 0 for c in counts):
+            raise ArityMismatchError(f"counts must be non-negative integers, not empty: {counts!r}")
+        object.__setattr__(self, "counts", tuple(map(int, counts)))
 
     @property
     def total(self) -> int:
@@ -125,6 +126,18 @@ class DegreeTuple:
 
 
 CountsLike = Union[DegreeTuple, Sequence[int]]
+
+
+def _per_letter(table: tuple, word: Sequence[int]) -> list:
+    """[table[i] for i in word] for a per-letter table; a non-letter is an ArityMismatchError."""
+    try:
+        if min(word, default=0) >= 0:
+            return [table[i] for i in word]
+    except (IndexError, TypeError):  # past the end, or no int
+        pass
+    k = len(table)
+    bad = next(i for i in word if not (_is_int(i) and 0 <= i < k))
+    raise ArityMismatchError(f"letter index {bad} outside alphabet of {k} letters")
 
 
 def degree_counts(t: CountsLike) -> tuple[int, ...]:

@@ -53,6 +53,7 @@ from .errors import (
     LimitExceededError,
     LukatreeError,
     NotAValidWordError,
+    _is_int,
 )
 
 __all__ = [
@@ -89,17 +90,20 @@ def batch_valid_words(
     `rng.integers(0, n - pos, size=reps)` call per position, and returns the
     transposed view of a position-major (n, reps) array; the permutation
     method shuffles a C-ordered (reps, n) array in place.  reps = 0 gives an
-    empty (0, n) array; a negative reps is a DomainTooSmallError.
+    empty (0, n) array; a reps that is negative or no integer is a
+    DomainTooSmallError, and such a count an ArityMismatchError.
     """
     for letter, count in enumerate(counts):
+        if not _is_int(count):
+            raise ArityMismatchError(f"letter {letter} has count {count!r}, not an integer")
         if count < 0:
             raise ArityMismatchError(f"letter {letter} has negative count {count}")
     k = len(counts)
     n = sum(counts)
     if n < 1:
         raise DomainTooSmallError(f"need a non-empty multiset, got counts {counts}")
-    if reps < 0:
-        raise DomainTooSmallError(f"reps must be >= 0, got {reps}")
+    if not _is_int(reps) or reps < 0:
+        raise DomainTooSmallError(f"reps must be an integer >= 0, got {reps!r}")
     if k > 127:
         raise LimitExceededError(f"int8 words hold at most 127 letters, got {k}")
     if method == "permutation":

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from operator import length_hint
 
-from .errors import DomainTooSmallError
+from .errors import DomainTooSmallError, _is_int
 
 __all__ = ["BitSource", "uniform_int", "fisher_yates"]
 
@@ -99,10 +99,12 @@ class BitSource:
 
     def next_bits(self, count: int) -> int:
         """count fair bits as one integer, first-drawn bit least significant."""
-        if count < 1:
-            if count < 0:
-                raise DomainTooSmallError(f"next_bits needs count >= 0, got {count}")
-            return 0
+        if type(count) is not int or count < 1:
+            if not _is_int(count) or count < 0:
+                raise DomainTooSmallError(f"next_bits needs an integer count >= 0, got {count!r}")
+            count = int(count)  # a bool or a numpy int
+            if not count:
+                return 0
         bits = self._bits
         while len(bits) < count:
             self._more(count)
@@ -118,11 +120,11 @@ def uniform_int(source: BitSource, m: int) -> int:
     b = ceil(log2 m), e.g. exactly 1 bit for m = 2 and 8/3 bits on average
     for m = 3.
     """
-    if m < 1:
-        raise DomainTooSmallError(f"uniform_int needs m >= 1, got {m}")
+    if not _is_int(m) or m < 1:
+        raise DomainTooSmallError(f"uniform_int needs an integer m >= 1, got {m!r}")
     if m == 1:
         return 0
-    b = (m - 1).bit_length()
+    b = int(m - 1).bit_length()
     while True:
         v = source.next_bits(b)
         if v < m:
@@ -146,14 +148,14 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
     nothing; :func:`lukatree.words.permutation_to_valid_word` is the fill
     that checks a permutation given from outside.
     """
-    if n < 1:
-        raise DomainTooSmallError(f"fisher_yates needs n >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise DomainTooSmallError(f"fisher_yates needs an integer n >= 1, got {n!r}")
     perm = list(range(1, n + 1))
     buf = int(b"1" + source._bits, 2)
     fetch = source._fetch
     try:
         # positions i in 2^(b-1)+1 .. 2^b all draw b-bit blocks
-        for b in range((n - 1).bit_length(), 0, -1):
+        for b in range(int(n - 1).bit_length(), 0, -1):
             top = 1 << b
             mask = top - 1
             # i is the 0-based index of 1-based position i + 1

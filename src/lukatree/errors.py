@@ -17,14 +17,19 @@ class LukatreeError(ValueError):
     """Base class for all domain errors raised by this package."""
 
 
+def _is_int(value: object) -> bool:
+    """Whether operator.index takes value: ints, bools, numpy ints; no float or string."""
+    return hasattr(type(value), "__index__")
+
+
 # -- alphabets and what must fit them --------------------------------------
 
 class AlphabetError(LukatreeError):
     """The alphabet itself is malformed.
 
-    Raised for a bad or duplicate letter symbol, a first degree other than
-    -1, degrees out of order, unequal or empty letter and degree lists,
-    malformed "sym:degree" text, and a symbol the alphabet does not have.
+    Raised for a bad or duplicate letter symbol, a degree that is no integer,
+    a first degree other than -1, degrees out of order, unequal or empty letter
+    and degree lists, malformed "sym:degree" text, and a symbol not in it.
     """
 
 
@@ -33,7 +38,7 @@ class ArityMismatchError(LukatreeError):
 
     A letter index outside the alphabet or not an int, a character that is
     no letter of it, a counts tuple of the wrong length, counts that are negative, empty
-    or not integers, or a weight index outside a DiscreteWeights.
+    or not integers, or a weight index outside a DiscreteWeights or no integer.
     """
 
 
@@ -54,7 +59,7 @@ class TupleNotValidError(LukatreeError):
 # -- sampling ----------------------------------------------------------------
 
 class DomainTooSmallError(LukatreeError):
-    """The requested quantity is undefined below its minimum domain."""
+    """The requested quantity is below its minimum domain, or no integer."""
 
 
 # -- size caps ---------------------------------------------------------------

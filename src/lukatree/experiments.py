@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .alphabet import DegreeTuple, motzkin_alphabet
 from .bitstream import _MASK64, BitSource, _draw_letters
-from .errors import DomainTooSmallError, InfeasibleParityError, LukatreeError
+from .errors import DomainTooSmallError, InfeasibleParityError, LukatreeError, _is_int
 from .samplers import METHODS, mean_cost_closed_form, sample_lukasiewicz_word
 
 __all__ = [
@@ -60,8 +60,8 @@ def motzkin_tuple(n: int, u: int) -> DegreeTuple:
     binary nodes, so n-u must be odd; otherwise no such tree exists and
     InfeasibleParityError is raised.
     """
-    if n < 1 or not 0 <= u <= n - 1:
-        raise DomainTooSmallError(f"need n >= 1 and 0 <= u < n, got n={n}, u={u}")
+    if not (_is_int(n) and _is_int(u)) or n < 1 or not 0 <= u <= n - 1:
+        raise DomainTooSmallError(f"need integers n >= 1 and 0 <= u < n, got n={n!r}, u={u!r}")
     if (n - u) % 2 == 0:
         raise InfeasibleParityError(
             f"n-u = {n - u} is even: no Motzkin tree has {n} nodes with {u} unary"
@@ -75,11 +75,11 @@ def nearest_feasible_unary(n: int, u: int) -> int:
     """Adjust a requested unary count to the nearest feasible one.
 
     When n-u is even the instance does not exist; the neighbour below is the
-    nearest fix, except u=0, where only u=1 is available.  n must be at least
-    1 and u within 0..n, else DomainTooSmallError.
+    nearest fix, except u=0, where only u=1 is available.  n and u must be
+    integers, n at least 1 and u within 0..n, else DomainTooSmallError.
     """
-    if n < 1 or not 0 <= u <= n:
-        raise DomainTooSmallError(f"need n >= 1 and 0 <= u <= n, got n={n}, u={u}")
+    if not (_is_int(n) and _is_int(u)) or n < 1 or not 0 <= u <= n:
+        raise DomainTooSmallError(f"need integers n >= 1 and 0 <= u <= n, got n={n!r}, u={u!r}")
     if (n - u) % 2 == 0:
         u = u - 1 if u >= 1 else u + 1
     return u

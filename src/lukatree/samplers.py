@@ -42,6 +42,7 @@ from typing import Sequence
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
 from .bitstream import BitSource, _draw_letters, fisher_yates
 from .errors import ArityMismatchError, DomainTooSmallError, LimitExceededError, LukatreeError
+from .errors import _is_int
 from .tree import PlanarTree, _unchecked_tree
 from .words import _place_blocks, to_lukasiewicz
 
@@ -68,24 +69,24 @@ class DiscreteWeights:
     __slots__ = ("weights",)
 
     def __init__(self, weights: Sequence[int]):
-        ws = [int(w) for w in weights]
-        if not ws or any(w < 0 for w in ws):
-            raise DomainTooSmallError(f"weights must be non-empty and >= 0: {ws!r}")
+        ws = list(weights)
+        if not ws or not all(_is_int(w) and w >= 0 for w in ws):
+            raise DomainTooSmallError(f"weights must be non-empty integers >= 0: {ws!r}")
         if sum(ws) < 1:
             raise DomainTooSmallError("total weight must be at least 1")
-        self.weights = ws
+        self.weights = list(map(int, ws))
 
     def decrement(self, index: int) -> None:
         """Take one unit of weight off index (it must have some left).
 
-        index must be a position in weights, else ArityMismatchError: a
-        negative one would silently hit a weight counted from the end.  A
+        index must be an integer position in weights, else ArityMismatchError:
+        a negative one would silently hit a weight counted from the end.  A
         weight's domain is the integers >= 0, so an exhausted weight would drop
         below it: DomainTooSmallError, as for a negative weight given.
         """
         ws = self.weights
-        if not 0 <= index < len(ws):
-            raise ArityMismatchError(f"weight index {index} outside 0..{len(ws) - 1}")
+        if not _is_int(index) or not 0 <= index < len(ws):
+            raise ArityMismatchError(f"weight index {index!r} outside 0..{len(ws) - 1}")
         if ws[index] < 1:
             raise DomainTooSmallError(f"weight {index} already exhausted")
         ws[index] -= 1
@@ -96,17 +97,20 @@ def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
 
     Zero-weight indices have zero probability: an empty segment can never
     contain the (always non-empty) interval.  If one index holds all the
-    weight the draw is free.  A weight edited below zero, or a total below 1,
-    is a DomainTooSmallError, raised before any bit is read.
+    weight the draw is free.  A weight edited below zero or to no integer, or
+    a total below 1, is a DomainTooSmallError, raised before any bit is read.
 
     The draw is the room-tracking loop of the module docstring run once: the
     dyadic-interval test step for step, on exact integers, so no rounding
     ever happens.
     """
     ws = weights.weights
-    if min(ws, default=0) < 0:
-        raise DomainTooSmallError(f"weights must be >= 0: {ws!r}")
-    total = sum(ws)
+    try:
+        total = sum(ws)  # a float weight makes the sum a float; a string fails it
+    except TypeError:
+        total = None
+    if not _is_int(total) or min(ws, default=0) < 0:
+        raise DomainTooSmallError(f"weights must be integers >= 0: {ws!r}")
     if total < 1:
         raise DomainTooSmallError("total weight must be at least 1")
     (letter,) = _draw_letters(source, ws, total, 1)
@@ -169,12 +173,12 @@ def sample_tree(
 
     Thin composition: sample a valid word (by the chosen method), rotate it
     to the Lukasiewicz representative, wrap it as a tree.  The rotation has
-    proved the word, so tree._unchecked_tree wraps it without walking its
-    path again, as PlanarTree's constructor would.  Uniformity over trees
-    follows from uniformity over valid words plus the cycle lemma.
+    proved the word, a tuple of ints, so tree._unchecked_tree wraps it as
+    it is, without walking its path again as PlanarTree's constructor
+    would.  Uniformity over trees follows from uniformity over valid words plus the cycle lemma.
     """
     word = sample_lukasiewicz_word(source, t, alphabet, method)
-    return _unchecked_tree(alphabet, list(word))
+    return _unchecked_tree(alphabet, word)
 
 
 def mean_cost_closed_form(k: int) -> Fraction:
@@ -184,7 +188,7 @@ def mean_cost_closed_form(k: int) -> Fraction:
     It is 3 for k = 2, 3.5 for k = 3, 4.25 for k = 5, and never exceeds
     2 + log2 k.
     """
-    if k < 2:
-        raise DomainTooSmallError(f"closed form needs k >= 2, got {k}")
-    j = (k - 1).bit_length() - 1
+    if not _is_int(k) or k < 2:
+        raise DomainTooSmallError(f"closed form needs an integer k >= 2, got {k!r}")
+    j = int(k - 1).bit_length() - 1
     return Fraction(j + 1) + Fraction(k, 1 << j)

@@ -2,10 +2,12 @@
 
 A Lukasiewicz word is read left to right as the preorder letter sequence of a
 rooted planar tree: a letter of degree d opens a node with d+1 children.  A
-:class:`PlanarTree` therefore stores only that word, which its constructor
-checks; the child lists are decoded from it on first use, on an explicit
-stack of unfilled child slots, so deep (caterpillar-like) trees of any size
-are fine.  Nothing in this module recurses.
+:class:`PlanarTree` is a frozen dataclass of that word, a tuple of ints that
+its constructor checks.  As a tree cannot change, it is decoded once, on
+first use: one walk on an explicit stack of unfilled child slots records
+each node's parent and depth, from which the child lists, the height and
+both drawings are read, so deep (caterpillar-like) trees of any size are
+fine.  Nothing in this module recurses.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
 SERIALIZE_FORMATS = ("paren", "dot", "luka")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanarTree:
     """A tree held as its Lukasiewicz word: letters[i] labels node i.
 
@@ -37,16 +39,16 @@ class PlanarTree:
     right), which is exactly the order of the word.  ``children[i]`` lists
     node i's children; it is decoded from the word the first time it is read.
 
-    The constructor checks the word on one walk of its path and stores its
-    letters as a list of ints.  Letters that are no index of the alphabet
-    raise ArityMismatchError.  The empty word, a word whose path touches -1
-    before its last letter (the tree is complete with letters left over), and
-    a word whose degree total is not -1 (child slots left unfilled) raise
+    The constructor checks the word on one walk of its path and stores it as
+    a tuple of ints, frozen.  Letters that are no index of the alphabet raise
+    ArityMismatchError.  The empty word, a word whose path touches -1 before
+    its last letter (the tree is complete with letters left over), and a word
+    whose degree total is not -1 (child slots left unfilled) raise
     NotAValidWordError.
     """
 
     alphabet: TreeAlphabet
-    letters: list[int]
+    letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
         path = path_heights(self.letters, self.alphabet)
@@ -63,34 +65,41 @@ class PlanarTree:
                 f"tree complete after {done} letters but the word has {len(path)}; "
                 "not a Lukasiewicz word"
             )
-        self.letters = [int(x) for x in self.letters]
+        object.__setattr__(self, "letters", tuple(map(int, self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
 
     @cached_property
-    def children(self) -> list[list[int]]:
-        """Child lists in preorder, decoded on one stack of unfilled slots.
-
-        Each stack entry names the parent of one unfilled child slot, so node
-        i's parent is the top entry, and node i then pushes one entry per
-        child of its own.
-        """
+    def _decoded(self) -> tuple[list[int], list[int]]:
+        """Each node's parent (-1 for the root) and depth, in preorder, from
+        one walk on a stack of unfilled child slots, each naming its parent:
+        node i fills the top slot, then pushes one per child of its own."""
         degrees = self.alphabet.degrees
-        children: list[list[int]] = [[] for _ in self.letters]
-        slots: list[int] = []
+        parents: list[int] = []
+        depths: list[int] = []
+        slots = [-1]
         for i, letter in enumerate(self.letters):
-            if i:
-                children[slots.pop()].append(i)
-            slots.extend([i] * (degrees[letter] + 1))
+            parent = slots.pop()
+            parents.append(parent)
+            depths.append(depths[parent] + 1 if i else 0)
+            slots += [i] * (degrees[letter] + 1)
+        return parents, depths
+
+    @cached_property
+    def children(self) -> list[list[int]]:
+        """Child lists in preorder, grouped from the decoded parents."""
+        children: list[list[int]] = [[] for _ in self.letters]
+        for i, parent in enumerate(self._decoded[0][1:], 1):
+            children[parent].append(i)
         return children
 
 
-def _unchecked_tree(alphabet: TreeAlphabet, letters: list[int]) -> PlanarTree:
-    """The PlanarTree of letters, a list of ints already known to be a
+def _unchecked_tree(alphabet: TreeAlphabet, letters: tuple[int, ...]) -> PlanarTree:
+    """The PlanarTree of letters, a tuple of ints already known to be a
     Lukasiewicz word over alphabet: nothing is checked."""
     tree = object.__new__(PlanarTree)
-    tree.alphabet, tree.letters = alphabet, letters
+    tree.__dict__.update(alphabet=alphabet, letters=letters)
     return tree
 
 
@@ -101,19 +110,7 @@ def word_to_tree(word: Sequence[int], alphabet: TreeAlphabet) -> PlanarTree:
 
 def height(tree: PlanarTree) -> int:
     """Largest node depth; 0 for a single leaf."""
-    # one pass over the word on a stack of unfilled child slots, each holding
-    # its depth: a node takes the top slot's depth and pushes its children's
-    degrees = tree.alphabet.degrees
-    slots = [0]
-    deepest = 0
-    for letter in tree.letters:
-        depth = slots.pop()
-        kids = degrees[letter] + 1
-        if kids:
-            slots += [depth + 1] * kids
-        elif depth > deepest:
-            deepest = depth
-    return deepest
+    return max(tree._decoded[1])
 
 
 def serialize(tree: PlanarTree, fmt: str = "paren") -> str:
@@ -123,8 +120,9 @@ def serialize(tree: PlanarTree, fmt: str = "paren") -> str:
     dot   -- Graphviz digraph with preorder node ids and letter labels
     luka  -- the Lukasiewicz word itself, one symbol per node
     """
-    if fmt == "luka":
-        return tree.alphabet.format_word(tree.letters)
+    if fmt == "luka":  # the letters were checked when the tree was made
+        symbols = tree.alphabet.letters
+        return "".join([symbols[i] for i in tree.letters])
     if fmt == "paren":
         return _paren(tree)
     if fmt == "dot":
@@ -133,27 +131,14 @@ def serialize(tree: PlanarTree, fmt: str = "paren") -> str:
 
 
 def _paren(tree: PlanarTree) -> str:
-    # one pass over the word: each open node counts its children still to
-    # come, and a leaf closes every node it was the last child of
+    # a node whose successor is deeper opens "(" for its children; any other
+    # closes every level down to its successor's and writes the "," before it
     symbols = tree.alphabet.letters
-    degrees = tree.alphabet.degrees
+    depths = tree._decoded[1]
     parts: list[str] = []
-    put = parts.append
-    to_come: list[int] = []
-    for letter in tree.letters:
-        put(symbols[letter])
-        kids = degrees[letter] + 1
-        if kids:
-            put("(")
-            to_come.append(kids)
-            continue
-        while to_come:
-            to_come[-1] -= 1
-            if to_come[-1]:
-                put(",")
-                break
-            to_come.pop()
-            put(")")
+    for letter, depth, after in zip(tree.letters, depths, depths[1:]):
+        parts += symbols[letter], ("(" if after > depth else ")" * (depth - after) + ",")
+    parts += symbols[tree.letters[-1]], ")" * depths[-1]
     return "".join(parts)
 
 

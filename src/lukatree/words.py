@@ -23,8 +23,8 @@ import enum
 from itertools import accumulate
 from typing import Sequence
 
-from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
-from .errors import ArityMismatchError, NotAPermutationError, NotAValidWordError
+from .alphabet import CountsLike, TreeAlphabet, _per_letter, f_valid_counts
+from .errors import NotAPermutationError, NotAValidWordError, _is_int
 
 __all__ = [
     "Classification",
@@ -47,20 +47,7 @@ class Classification(enum.Enum):
 
 def path_heights(word: Sequence[int], alphabet: TreeAlphabet) -> list[int]:
     """Prefix sums s_1..s_n of the letter degrees (the lattice path)."""
-    degrees = alphabet.degrees
-    k = alphabet.k
-    letters = iter(word)
-    steps = []
-    try:
-        for letter in letters:
-            if not 0 <= letter < k:
-                break
-            steps.append(degrees[letter])
-        else:
-            return list(accumulate(steps))
-    except TypeError:  # "c" and None fail the compare, 2.0 the index
-        pass
-    raise ArityMismatchError(f"letter index {letter} outside alphabet of {k} letters")
+    return list(accumulate(_per_letter(alphabet.degrees, word)))
 
 
 def classify(word: Sequence[int], alphabet: TreeAlphabet) -> Classification:
@@ -129,9 +116,9 @@ def permutation_to_valid_word(
     uniform valid word.
 
     sigma is checked here, before the fill: a wrong length, or an entry out
-    of 1..n or repeated, is a NotAPermutationError that names it.  The
-    permutation sampler fills through the unchecked core, _place_blocks, as
-    its permutation comes from fisher_yates.
+    of 1..n, repeated or no integer (1.0, say), is a NotAPermutationError
+    that names it.  The permutation sampler fills through the unchecked
+    core, _place_blocks, as its permutation comes from fisher_yates.
     """
     counts = f_valid_counts(t, alphabet)
     n = sum(counts)
@@ -139,14 +126,14 @@ def permutation_to_valid_word(
         raise NotAPermutationError(
             f"expected a permutation of 1..{n}, got {len(sigma)} entries"
         )
-    # n entries that cover 1..n are a permutation of it
-    if not set(sigma).issuperset(range(1, n + 1)):
+    # n int entries that cover 1..n are a permutation of it; a float entry makes the sum a float
+    if not set(sigma).issuperset(range(1, n + 1)) or not _is_int(sum(sigma)):
         # find the entry to name; only a sigma that is no permutation gets here
         left = set(range(1, n + 1))
         for p in sigma:
-            if p not in left:
+            if not _is_int(p) or p not in left:
                 raise NotAPermutationError(
-                    f"expected a permutation of 1..{n}, got {p!r} out of range or repeated"
+                    f"expected a permutation of 1..{n}, got {p!r} out of range, repeated or no int"
                 )
             left.remove(p)
     return _place_blocks(sigma, counts)

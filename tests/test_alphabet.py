@@ -16,6 +16,15 @@ from lukatree import (
 from lukatree.alphabet import f_valid_counts
 
 
+@pytest.mark.parametrize(
+    "word, bad", [([-1, -2], -1), ([5], 5), ([0, 3], 3), ([2.0], 2.0), ([1, "c"], "c"), ([None], None)]
+)
+def test_format_word_refuses_letters_outside_the_alphabet(word, bad):
+    # a negative index would wrap round to a letter from the end
+    with pytest.raises(ArityMismatchError, match=f"^letter index {bad} outside alphabet of 3 letters$"):
+        motzkin_alphabet().format_word(word)
+
+
 def test_standard_alphabets():
     A = motzkin_alphabet()
     assert A.letters == ("a", "b", "c")

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import exact_distribution
+from conftest import Exhausted, ReplayBitSource, exact_distribution
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +122,31 @@ def test_next_bits_from_inside_the_buffer(offset):
         assert bulk == single, (offset, count)
         assert a.bits_consumed == b.bits_consumed == offset + count
         assert [a.next_bit() for _ in range(70)] == [b.next_bit() for _ in range(70)]
+
+
+class _TrickleSource(BitSource):
+    """BitSource(seed)'s stream, handed over three bits per fetch: a fetch
+    may hand over fewer bits than it was asked for."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self._stream = _DefinedSource(seed)
+
+    def _fetch(self, m):
+        bits = self._stream.read(3)
+        self._fetched += len(bits)
+        return int("1" + "".join(map(str, reversed(bits))), 2)
+
+
+def test_next_bits_fetches_until_it_holds_count_bits():
+    # one fetch can hold fewer bits than a read needs: next_bits fetches
+    # again until it holds them all, so a 5-bit replay cannot give 8 bits
+    for count in (1, 3, 4, 8, 70):
+        source = _TrickleSource(5)
+        assert source.next_bits(count) == _DefinedSource(5).next_bits(count), count
+        assert source.bits_consumed == count
+    with pytest.raises(Exhausted):
+        ReplayBitSource((1, 0, 1, 1, 0)).next_bits(8)
 
 
 @pytest.mark.parametrize("seed", [0, 12345])

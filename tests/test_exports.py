@@ -108,6 +108,29 @@ def test_only_sample_tree_builds_unchecked_trees():
     assert found == ["samplers.py sample_tree"]
 
 
+def test_every_dataclass_is_frozen():
+    # a dataclass checks or normalises its fields once, in __post_init__;
+    # frozen, it keeps them so
+    decorators = [
+        (f"{path.name}:{cls.lineno} {cls.name}", dec)
+        for path in Path(lukatree.__file__).parent.glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for dec in cls.decorator_list
+        if "dataclass" in ast.unparse(dec)
+    ]
+    assert decorators, "no dataclass found"
+    unfrozen = [
+        where
+        for where, dec in decorators
+        if not any(
+            kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+            for kw in getattr(dec, "keywords", ())
+        )
+    ]
+    assert unfrozen == []
+
+
 def test_no_function_calls_itself():
     # nothing in the package recurses, so no input is bound by the
     # interpreter's recursion limit

@@ -3,7 +3,9 @@
 No input here may end in a bare IndexError or ValueError, and a value a call
 returns must be one its contract allows: a PlanarTree is a Lukasiewicz word,
 a feasible unary count makes a Motzkin tuple, and batch rows, zero or more,
-hold the counts.
+hold the counts.  Fed a float (even 2.0) or a numeric string where an
+integer belongs, every call raises a LukatreeError; a numpy int or a bool
+passes as the int it stands for.
 The sizes stay small, so no call allocates much.
 """
 
@@ -15,19 +17,28 @@ from hypothesis import strategies as st
 from lukatree import (
     METHODS,
     SERIALIZE_FORMATS,
+    BitSource,
     Classification,
+    DegreeTuple,
     DiscreteWeights,
     LukatreeError,
     PlanarTree,
+    TreeAlphabet,
     binary_alphabet,
     classify,
+    dichotomic_draw,
+    fisher_yates,
     height,
+    mean_cost_closed_form,
     motzkin_alphabet,
     motzkin_tuple,
     nearest_feasible_unary,
     path_heights,
+    permutation_to_valid_word,
+    sample_tree,
     serialize,
     to_lukasiewicz,
+    uniform_int,
     word_to_tree,
 )
 from lukatree.batch import batch_valid_words
@@ -67,7 +78,7 @@ def test_words_and_trees(alphabet, letters):
     assert (tree is not None) == (verdict is Classification.LUKASIEWICZ)
     assert _call(word_to_tree, letters, alphabet) == tree
     if tree is not None:
-        assert tree.letters == letters
+        assert tree.letters == tuple(letters)
         assert 0 <= height(tree) < len(letters)
         for fmt in SERIALIZE_FORMATS:
             assert isinstance(serialize(tree, fmt), str)
@@ -118,3 +129,68 @@ def test_discrete_weights_decrement(weights, index):
         assert not (0 <= index < len(before) and before[index] >= 1)
     else:
         assert 0 <= index < len(before) and pool.weights[index] == before[index] - 1
+
+
+def _edited_draw(weight):
+    pool = DiscreteWeights([2, 1])
+    pool.weights[1] = weight
+    return dichotomic_draw(BitSource(0), pool)
+
+
+def _decremented(index):
+    pool = DiscreteWeights([2, 1])
+    pool.decrement(index)
+    return pool.weights
+
+
+# call of one integer argument -> a value it takes
+INTEGER_ARGUMENTS = {
+    "DegreeTuple": (lambda x: DegreeTuple((2, x, 1)), 1),
+    "sample_tree": (lambda x: sample_tree(BitSource(0), (2, x, 1), MOTZKIN), 1),
+    "TreeAlphabet": (lambda x: TreeAlphabet(("a", "b"), (-1, x)), 0),
+    "DiscreteWeights": (lambda x: DiscreteWeights([2, x]).weights, 1),
+    "dichotomic_draw": (_edited_draw, 1),
+    "decrement": (_decremented, 1),
+    "mean_cost_closed_form": (mean_cost_closed_form, 5),
+    "uniform_int": (lambda x: uniform_int(BitSource(0), x), 5),
+    "fisher_yates": (lambda x: fisher_yates(BitSource(0), x), 5),
+    "next_bits": (lambda x: BitSource(0).next_bits(x), 9),
+    "permutation_to_valid_word": (lambda x: permutation_to_valid_word([x, 2, 3], (2, 0, 1), MOTZKIN), 1),
+    "format_word": (lambda x: MOTZKIN.format_word([2, x]), 0),
+    "path_heights": (lambda x: path_heights([2, x, 0], MOTZKIN), 0),
+    "PlanarTree": (lambda x: PlanarTree(MOTZKIN, [2, x, 0]), 0),
+    "motzkin_tuple.n": (lambda x: motzkin_tuple(x, 2), 5),
+    "motzkin_tuple.u": (lambda x: motzkin_tuple(5, x), 0),
+    "nearest_feasible_unary": (lambda x: nearest_feasible_unary(5, x), 1),
+    "batch_valid_words.counts": (
+        lambda x: batch_valid_words(np.random.default_rng(0), (2, 0, x), 2).tolist(), 1
+    ),
+    "batch_valid_words.reps": (
+        lambda x: batch_valid_words(np.random.default_rng(0), (2, 0, 1), x).tolist(), 2
+    ),
+}
+NOT_INTS = st.one_of(
+    INTS.map(float),
+    st.floats(-3, 12),
+    INTS.map(str),
+    st.sampled_from(["1.5", "", "c"]),
+)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+@settings(max_examples=40, deadline=None)
+@given(value=NOT_INTS)
+@example(value=1.0)
+@example(value="1")
+def test_non_integers_are_refused(name, value):
+    call, _ = INTEGER_ARGUMENTS[name]
+    with pytest.raises(LukatreeError):
+        call(value)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_numpy_ints_and_bools_pass_as_ints(name):
+    call, good = INTEGER_ARGUMENTS[name]
+    want = call(good)
+    for stand_in in (np.int64(good), np.int8(good), *([bool(good)] if good in (0, 1) else [])):
+        assert call(stand_in) == want, stand_in

@@ -1,4 +1,6 @@
+import dataclasses
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -9,6 +11,7 @@ from lukatree import (
     NotAValidWordError,
     PlanarTree,
     TreeAlphabet,
+    binary_alphabet,
     enumerate_lukasiewicz,
     height,
     serialize,
@@ -19,7 +22,7 @@ from lukatree import (
 def test_single_leaf(motzkin):
     tree = word_to_tree((0,), motzkin)
     assert len(tree) == 1
-    assert tree.letters == [0] and tree.children == [[]]
+    assert tree.letters == (0,) and tree.children == [[]]
     assert height(tree) == 0
     assert serialize(tree, "paren") == "a"
 
@@ -27,11 +30,11 @@ def test_single_leaf(motzkin):
 def test_decode_worked_example(motzkin):
     word = motzkin.parse_word("cacbaba")
     tree = word_to_tree(word, motzkin)
-    assert tree.letters == [2, 0, 2, 1, 0, 1, 0]
+    assert tree.letters == (2, 0, 2, 1, 0, 1, 0)
     assert tree.children == [[1, 2], [], [3, 5], [4], [], [6], []]
     assert height(tree) == 3
     assert tuple(tree.letters.count(i) for i in range(motzkin.k)) == (3, 2, 2)
-    assert tree.letters == list(word)
+    assert tree.letters == word
 
 
 def test_decode_rejects_malformed_words(motzkin):
@@ -65,6 +68,53 @@ def test_decode_rejects_letters_outside_the_alphabet(motzkin, bad):
             PlanarTree(motzkin, word)
         with pytest.raises(ArityMismatchError, match=message):
             word_to_tree(tuple(word), motzkin)
+
+
+def test_a_tree_cannot_change_after_its_check(motzkin):
+    # the constructor checks the word once; a frozen tree over a tuple keeps
+    # the check and the decode that was read from it true
+    tree = PlanarTree(motzkin, [2, 0, 0])
+    assert type(tree.letters) is tuple and tree.children == [[1, 2], [], []]
+    for field, value in (("letters", (2,)), ("alphabet", binary_alphabet())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tree, field, value)
+    with pytest.raises(AttributeError):
+        tree.letters.append(0)
+    assert tree.letters == (2, 0, 0) and tree.alphabet == motzkin
+    assert serialize(tree) == "c(a,a)" and height(tree) == 1
+    assert hash(tree) == hash(PlanarTree(motzkin, (2, 0, 0)))
+
+
+def test_every_reader_reads_the_one_decode(motzkin, monkeypatch):
+    # children, height and both drawings read one cached walk of the word;
+    # luka reads the checked letters and neither decodes nor checks them again
+    walks = []
+    walk = PlanarTree._decoded.func
+
+    def counted(tree):
+        walks.append(tree)
+        return walk(tree)
+
+    decoded = cached_property(counted)
+    decoded.__set_name__(PlanarTree, "_decoded")
+    monkeypatch.setattr(PlanarTree, "_decoded", decoded)
+    monkeypatch.setattr(TreeAlphabet, "format_word", None)
+    readers = {
+        "children": lambda tree: tree.children,
+        "height": height,
+        "paren": lambda tree: serialize(tree, "paren"),
+        "dot": lambda tree: serialize(tree, "dot"),
+    }
+    word = motzkin.parse_word("cacbaba")
+    for name, read in readers.items():
+        tree = word_to_tree(word, motzkin)
+        assert serialize(tree, "luka") == "cacbaba" and walks == []
+        read(tree)
+        assert walks == [tree], name
+        for other in readers.values():
+            other(tree)
+        assert walks == [tree], name
+        walks.clear()
 
 
 def test_serialize_paren_frozen(motzkin):
@@ -140,7 +190,7 @@ def test_deep_caterpillar_does_not_recurse(motzkin):
     word = motzkin.parse_word("b" * 5000 + "a")
     tree = word_to_tree(word, motzkin)
     assert height(tree) == 5000
-    assert tree.letters == list(word)
+    assert tree.letters == word
     assert _preorder_letters(tree) == list(word)
     assert serialize(tree, "luka") == "b" * 5000 + "a"
 
@@ -184,7 +234,7 @@ def test_round_trip_exhaustive(motzkin, binary):
             words = enumerate_lukasiewicz(DegreeTuple(counts), alphabet)
             for word in words:
                 tree = PlanarTree(alphabet, word)
-                assert type(tree.letters) is list and tuple(tree.letters) == tuple(word)
+                assert type(tree.letters) is tuple and tree.letters == tuple(word)
                 assert word_to_tree(word, alphabet) == tree
                 assert _preorder_letters(tree) == list(word)
                 assert tuple(tree.letters.count(i) for i in range(alphabet.k)) == counts
