@@ -7,17 +7,10 @@ that visible: along the unary fraction at fixed n (height/sqrt(n) climbs),
 and across sizes at a fixed fraction (height * sqrt(c) / n holds still).
 """
 
-from lukatree import HeightScanConfig, height_scan_csv, run_height_scan
+from lukatree import height_scan_csv, run_height_scan
 
 print("uniform Motzkin trees, n = 900, 4000 trees per row (seed 0):\n")
-scan = run_height_scan(
-    HeightScanConfig(
-        n=900,
-        unary_fractions=(0.0, 0.3, 0.6, 0.9),
-        replicates=4000,
-        seed=0,
-    )
-)
+scan = run_height_scan(900, (0.0, 0.3, 0.6, 0.9), 4000, seed=0)
 print("  unary     mean      height     height *")
 print("  fraction  height    / sqrt(n)  sqrt(c) / n")
 for row in scan:
@@ -31,9 +24,7 @@ print("last column barely moves: sqrt(c)/n * height is the right scale.")
 print("\nsame fraction (0.5), three sizes, 4000 trees each:\n")
 print("      n    mean height    height * sqrt(c) / n")
 for n in (400, 900, 1600):
-    row = run_height_scan(
-        HeightScanConfig(n=n, unary_fractions=(0.5,), replicates=4000, seed=1)
-    )[0]
+    row = run_height_scan(n, (0.5,), 4000, seed=1)[0]
     print(f"  {n:5d}    {row.mean_height:11.2f}    {row.mean_norm:9.3f}")
 print("\nthe normalized column is size-independent, the raw one is not.")
 

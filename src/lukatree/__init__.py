@@ -43,7 +43,6 @@ from .experiments import (
     BITCOST_COLUMNS,
     HEIGHT_SCAN_COLUMNS,
     BitCostRow,
-    HeightScanConfig,
     ScanRow,
     bitcost_csv,
     height_scan_csv,

@@ -36,11 +36,12 @@ _SHUFFLE_WORDS = 4
 class BitSource:
     """Deterministic stream of fair bits, seeded from a 64-bit integer.
 
-    Bits are taken from successive 64-bit words of ``random.Random(seed)``,
-    least significant bit first.  ``next_bits(k)`` is exactly equivalent to k
-    ``next_bit()`` calls with the first-drawn bit in the least significant
-    position; it exists because one bulk read is much cheaper than k method
-    calls.
+    A seed that is no integer is a DomainTooSmallError; any other is read
+    modulo 2^64.  Bits are taken from successive 64-bit words of
+    ``random.Random(seed)``, least significant bit first.  ``next_bits(k)``
+    is exactly equivalent to k ``next_bit()`` calls with the first-drawn bit
+    in the least significant position; it exists because one bulk read is
+    much cheaper than k method calls.
 
     Bits enter only through ``_fetch(m)``, the one method a stand-in
     overrides.  It returns the next bits as one int under a leading 1, first
@@ -71,7 +72,9 @@ class BitSource:
     __slots__ = ("_rng", "_bits", "_fetched")
 
     def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed & _MASK64)
+        if not _is_int(seed):
+            raise DomainTooSmallError(f"seed must be an integer, got {seed!r}")
+        self._rng = random.Random(int(seed) & _MASK64)
         self._bits = bytearray()
         self._fetched = 0
 

@@ -27,7 +27,6 @@ from .bitstream import BitSource
 from .enumeration import DEFAULT_ENUMERATION_LIMIT, enumerate_lukasiewicz, tutte_count, valid_word_count
 from .errors import DomainTooSmallError, LukatreeError
 from .experiments import (
-    HeightScanConfig,
     bitcost_csv,
     height_scan_csv,
     run_bitcost_scan,
@@ -179,15 +178,15 @@ def _cmd_height_scan(args: argparse.Namespace) -> None:
         fractions = tuple(float(f) for f in args.fractions.split(","))
     except ValueError:
         raise LukatreeError(f"malformed fractions list {args.fractions!r}") from None
-    cfg = HeightScanConfig(
-        n=args.n,
-        unary_fractions=fractions,
-        replicates=args.replicates,
+    rows = run_height_scan(
+        args.n,
+        fractions,
+        args.replicates,
         seed=args.seed,
         method=_METHOD_NAMES[args.method],
         engine=args.engine,
     )
-    sys.stdout.write(height_scan_csv(run_height_scan(cfg)))
+    sys.stdout.write(height_scan_csv(rows))
 
 
 _HANDLERS = {

@@ -17,7 +17,7 @@ import math
 from typing import Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
-from .errors import LimitExceededError
+from .errors import DomainTooSmallError, LimitExceededError, _is_int
 
 __all__ = [
     "valid_word_count",
@@ -61,13 +61,16 @@ def _arrangements(
 ) -> list[tuple[int, ...]]:
     """All distinct arrangements of the letter multiset t, lexicographic by index.
 
-    Refuses tuples with total above limit.  With prune_prefix, a letter that
-    takes the path below 0 before the last position is not tried, which
-    leaves exactly the Lukasiewicz words.  The walk is a flat backtracking
-    loop, so its depth is not bound by the interpreter's recursion limit.
+    Refuses a limit that is no integer and tuples with total above limit.
+    With prune_prefix, a letter that takes the path below 0 before the last
+    position is not tried, which leaves exactly the Lukasiewicz words.  The
+    walk is a flat backtracking loop, so its depth is not bound by the
+    interpreter's recursion limit.
     """
     counts = f_valid_counts(t, alphabet)
     n = sum(counts)
+    if not _is_int(limit):
+        raise DomainTooSmallError(f"enumeration limit must be an integer, got {limit!r}")
     if n > limit:
         raise LimitExceededError(
             f"tuple total {n} exceeds enumeration limit {limit}; raise `limit` "

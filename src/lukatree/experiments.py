@@ -25,17 +25,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 from .alphabet import DegreeTuple, motzkin_alphabet
-from .bitstream import _MASK64, BitSource, _draw_letters
+from .bitstream import _MASK64, BitSource
 from .errors import DomainTooSmallError, InfeasibleParityError, LukatreeError, _is_int
-from .samplers import METHODS, mean_cost_closed_form, sample_lukasiewicz_word
+from .samplers import METHODS, DiscreteWeights, dichotomic_draw, mean_cost_closed_form
+from .samplers import sample_lukasiewicz_word
 
 __all__ = [
     "motzkin_tuple",
     "nearest_feasible_unary",
-    "HeightScanConfig",
     "ScanRow",
     "run_height_scan",
     "height_scan_csv",
@@ -86,18 +87,6 @@ def nearest_feasible_unary(n: int, u: int) -> int:
 
 
 @dataclass(frozen=True)
-class HeightScanConfig:
-    """One height-scaling run: tree size, unary fractions, replication."""
-
-    n: int
-    unary_fractions: tuple[float, ...]
-    replicates: int
-    seed: int = 0
-    method: str = "dichotomic"
-    engine: str = "batch"  # "batch" (vectorized) or "scalar" (bit-level pipelines)
-
-
-@dataclass(frozen=True)
 class ScanRow:
     """Aggregates for one unary fraction; `c` is the binary-node count c_n."""
 
@@ -117,8 +106,11 @@ HEIGHT_SCAN_COLUMNS = (
 )
 
 
-def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
-    """Sample heights of uniform Motzkin trees for each unary fraction.
+def run_height_scan(
+    n: int, unary_fractions: Sequence[float], replicates: int,
+    *, seed: int = 0, method: str = "dichotomic", engine: str = "batch",
+) -> list[ScanRow]:
+    """Sample heights of uniform Motzkin trees of size n for each unary fraction.
 
     Each fraction maps to u = round(fraction * n), parity-adjusted via
     nearest_feasible_unary.  Replicates go in chunks of at most _CHUNK rows.
@@ -128,28 +120,29 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
     way, batch_heights measures the chunk: one walk finds each row's
     cycle-lemma rotation (the row itself for a Lukasiewicz word), and the
     height recurrence reads it straight from the words, so the rotated copy
-    is never built.  The run is deterministic for a fixed config; like
-    BitSource, the batch engine reads the seed modulo 2^64.  n below 1 is a
-    DomainTooSmallError, raised before any unary count is derived from it,
-    and an unknown engine or method is a LukatreeError, raised before
-    anything is drawn.
+    is never built.  The run is deterministic for fixed settings; like
+    BitSource, which checks it, the batch engine reads the seed modulo 2^64.
+    n and replicates must be integers, and a fraction a real number.  n
+    below 1 is a DomainTooSmallError, raised before any unary count is
+    derived from it, and an unknown engine ("batch" or "scalar") or method
+    is a LukatreeError, raised before anything is drawn.
     """
-    if cfg.replicates < 1:
-        raise DomainTooSmallError(f"need at least one replicate, got {cfg.replicates}")
-    if not cfg.unary_fractions:
+    if not _is_int(replicates) or replicates < 1:
+        raise DomainTooSmallError(f"need an integer count of replicates >= 1, got {replicates!r}")
+    if not unary_fractions:
         raise LukatreeError("need at least one unary fraction")
-    for fraction in cfg.unary_fractions:
-        if not 0.0 <= fraction < 1.0:  # also false for NaN
+    for fraction in unary_fractions:
+        if not (isinstance(fraction, Real) and 0.0 <= fraction < 1.0):  # also false for NaN
             raise LukatreeError(f"unary fraction {fraction!r} is not in [0, 1)")
-    if cfg.n < 1:
-        raise DomainTooSmallError(f"need a tree size n >= 1, got n={cfg.n}")
-    if cfg.n >= 2**31:
+    if not _is_int(n) or n < 1:
+        raise DomainTooSmallError(f"need a tree size n >= 1, got n={n!r}")
+    if n >= 2**31:
         # the batch engine keeps levels and heights in int32
-        raise LukatreeError(f"tree size {cfg.n} is not below 2^31")
-    if cfg.engine not in ("batch", "scalar"):
-        raise LukatreeError(f"unknown engine {cfg.engine!r}")
-    if cfg.method not in METHODS:
-        raise LukatreeError(f"unknown method {cfg.method!r}, expected one of {METHODS}")
+        raise LukatreeError(f"tree size {n} is not below 2^31")
+    if engine not in ("batch", "scalar"):
+        raise LukatreeError(f"unknown engine {engine!r}")
+    if method not in METHODS:
+        raise LukatreeError(f"unknown method {method!r}, expected one of {METHODS}")
     # numpy loads here only, so that importing the package, and every
     # subcommand other than height-scan, goes without it
     import numpy as np
@@ -158,22 +151,22 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
 
     alphabet = motzkin_alphabet()
     degrees = alphabet.degrees
-    source = BitSource(cfg.seed)
+    source = BitSource(seed)
     rows = []
-    for row_idx, fraction in enumerate(cfg.unary_fractions):
-        u = nearest_feasible_unary(cfg.n, round(fraction * cfg.n))
-        t = motzkin_tuple(cfg.n, u)
-        if cfg.engine == "batch":
-            rng = np.random.default_rng([cfg.seed & _MASK64, row_idx])
-        heights = np.empty(cfg.replicates, dtype=np.int32)
-        for done in range(0, cfg.replicates, _CHUNK):
-            m = min(_CHUNK, cfg.replicates - done)
-            if cfg.engine == "batch":
-                words = batch_valid_words(rng, t.counts, m, cfg.method)
+    for row_idx, fraction in enumerate(unary_fractions):
+        u = nearest_feasible_unary(n, round(fraction * n))
+        t = motzkin_tuple(n, u)
+        if engine == "batch":
+            rng = np.random.default_rng([int(seed) & _MASK64, row_idx])
+        heights = np.empty(replicates, dtype=np.int32)
+        for done in range(0, replicates, _CHUNK):
+            m = min(_CHUNK, replicates - done)
+            if engine == "batch":
+                words = batch_valid_words(rng, t.counts, m, method)
             else:
-                words = np.empty((m, cfg.n), dtype=np.int8)
+                words = np.empty((m, n), dtype=np.int8)
                 for row in words:
-                    row[:] = sample_lukasiewicz_word(source, t, alphabet, cfg.method)
+                    row[:] = sample_lukasiewicz_word(source, t, alphabet, method)
             heights[done : done + m] = batch_heights(words, degrees)
         c = t.counts[2]
         mean = float(np.mean(heights))
@@ -182,12 +175,12 @@ def run_height_scan(cfg: HeightScanConfig) -> list[ScanRow]:
                 fraction=fraction,
                 u=u,
                 c=c,
-                n=cfg.n,
-                replicates=cfg.replicates,
+                n=n,
+                replicates=replicates,
                 mean_height=mean,
-                mean_height_over_sqrt_n=mean / math.sqrt(cfg.n),
-                mean_norm=mean * math.sqrt(c) / cfg.n,
-                stddev=float(np.std(heights, ddof=1)) if cfg.replicates > 1 else 0.0,
+                mean_height_over_sqrt_n=mean / math.sqrt(n),
+                mean_norm=mean * math.sqrt(c) / n,
+                stddev=float(np.std(heights, ddof=1)) if replicates > 1 else 0.0,
             )
         )
     return rows
@@ -233,25 +226,25 @@ def run_bitcost_scan(k_max: int, replicates: int, seed: int = 0) -> list[BitCost
     One bit source drives the whole scan sequentially, so a fixed seed pins
     every number.  stderr columns are the standard error of the mean, letting
     callers check mean <= bound + 3 * stderr at whatever replication they
-    chose.
+    chose.  k_max and replicates must be integers, else DomainTooSmallError,
+    as for a seed that BitSource refuses.
     """
-    if k_max < 2:
-        raise DomainTooSmallError(f"scan needs k_max >= 2, got {k_max}")
-    if replicates < 2:
-        raise DomainTooSmallError("need at least two replicates for a standard error")
+    if not _is_int(k_max) or k_max < 2:
+        raise DomainTooSmallError(f"scan needs an integer k_max >= 2, got {k_max!r}")
+    if not _is_int(replicates) or replicates < 2:
+        raise DomainTooSmallError(
+            f"need an integer count of replicates >= 2 for a standard error, got {replicates!r}"
+        )
     source = BitSource(seed)
     rows = []
     for k in range(2, k_max + 1):
         bound = 2.0 + math.log2(k)
         stats = []
-        for pool in ([1] * k, [2] + [1] * (k - 1)):
-            total = sum(pool)
+        for pool in (DiscreteWeights([1] * k), DiscreteWeights([2] + [1] * (k - 1))):
             costs = []
             for _ in range(replicates):
                 before = source.bits_consumed
-                # dichotomic_draw without its guards: this pool is ours, never edited
-                (letter,) = _draw_letters(source, pool, total, 1)
-                pool[letter] += 1
+                dichotomic_draw(source, pool)
                 costs.append(source.bits_consumed - before)
             # mean and standard error from exact integer sums
             s1 = sum(costs)

@@ -35,6 +35,7 @@ per draw.
 
 from __future__ import annotations
 
+import operator
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -60,21 +61,31 @@ METHODS = ("dichotomic", "permutation")
 
 
 class DiscreteWeights:
-    """Non-negative integer weights, held in the public `weights` list.
+    """A pool of non-negative integer weights, checked once.
 
-    The draw reads the list itself, so it follows any edit of it, and
-    `decrement(i)` is O(1).
+    The pool and its running total are private, and `decrement(i)` is the one
+    change, O(1), that keeps them in step, so a draw checks no weight.
+    `weights` reads the pool as a tuple.
     """
 
-    __slots__ = ("weights",)
+    __slots__ = ("_left", "_total")
 
     def __init__(self, weights: Sequence[int]):
-        ws = list(weights)
-        if not ws or not all(_is_int(w) and w >= 0 for w in ws):
-            raise DomainTooSmallError(f"weights must be non-empty integers >= 0: {ws!r}")
-        if sum(ws) < 1:
+        try:  # index takes what _is_int passes, as ints, in one pass in C
+            left = list(map(operator.index, weights))
+        except TypeError:
+            left = []
+        if not left or min(left) < 0:
+            raise DomainTooSmallError(f"weights must be non-empty integers >= 0: {weights!r}")
+        self._left = left
+        self._total = sum(left)
+        if self._total < 1:
             raise DomainTooSmallError("total weight must be at least 1")
-        self.weights = list(map(int, ws))
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        """The weights left, in index order."""
+        return tuple(self._left)
 
     def decrement(self, index: int) -> None:
         """Take one unit of weight off index (it must have some left).
@@ -84,12 +95,13 @@ class DiscreteWeights:
         weight's domain is the integers >= 0, so an exhausted weight would drop
         below it: DomainTooSmallError, as for a negative weight given.
         """
-        ws = self.weights
+        ws = self._left
         if not _is_int(index) or not 0 <= index < len(ws):
             raise ArityMismatchError(f"weight index {index!r} outside 0..{len(ws) - 1}")
         if ws[index] < 1:
             raise DomainTooSmallError(f"weight {index} already exhausted")
         ws[index] -= 1
+        self._total -= 1
 
 
 def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
@@ -97,24 +109,19 @@ def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
 
     Zero-weight indices have zero probability: an empty segment can never
     contain the (always non-empty) interval.  If one index holds all the
-    weight the draw is free.  A weight edited below zero or to no integer, or
-    a total below 1, is a DomainTooSmallError, raised before any bit is read.
+    weight the draw is free.  A pool decremented to a total of 0 is a
+    DomainTooSmallError, raised before any bit is read.
 
     The draw is the room-tracking loop of the module docstring run once: the
     dyadic-interval test step for step, on exact integers, so no rounding
     ever happens.
     """
-    ws = weights.weights
-    try:
-        total = sum(ws)  # a float weight makes the sum a float; a string fails it
-    except TypeError:
-        total = None
-    if not _is_int(total) or min(ws, default=0) < 0:
-        raise DomainTooSmallError(f"weights must be integers >= 0: {ws!r}")
+    total = weights._total
     if total < 1:
         raise DomainTooSmallError("total weight must be at least 1")
-    (letter,) = _draw_letters(source, ws, total, 1)
-    ws[letter] += 1  # the draw took the letter out; the pool keeps it
+    left = weights._left
+    (letter,) = _draw_letters(source, left, total, 1)
+    left[letter] += 1  # the draw took the letter out; the pool keeps it
     return letter
 
 

@@ -21,7 +21,6 @@ from lukatree import (
     BitSource,
     Classification,
     DegreeTuple,
-    HeightScanConfig,
     binary_alphabet,
     classify,
     enumerate_lukasiewicz,
@@ -249,23 +248,17 @@ def test_criterion_7_linear_vs_nlogn_bits():
 def height_scans():
     replicates = 10_000
     base = run_height_scan(
-        HeightScanConfig(
-            n=1000,
-            unary_fractions=tuple(i / 10 for i in range(10)),
-            replicates=replicates,
-            seed=0,
-        )
+        n=1000,
+        unary_fractions=tuple(i / 10 for i in range(10)),
+        replicates=replicates,
+        seed=0,
     )
-    big_zero = run_height_scan(
-        HeightScanConfig(n=4000, unary_fractions=(0.0,), replicates=replicates, seed=0)
-    )
+    big_zero = run_height_scan(n=4000, unary_fractions=(0.0,), replicates=replicates, seed=0)
     halves = run_height_scan(
-        HeightScanConfig(
-            n=4000,
-            unary_fractions=(1999 / 4000, 1 / 4000),
-            replicates=replicates,
-            seed=0,
-        )
+        n=4000,
+        unary_fractions=(1999 / 4000, 1 / 4000),
+        replicates=replicates,
+        seed=0,
     )
     return base, big_zero, halves
 

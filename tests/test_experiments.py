@@ -12,7 +12,6 @@ from lukatree import (
     HEIGHT_SCAN_COLUMNS,
     DegreeTuple,
     DomainTooSmallError,
-    HeightScanConfig,
     InfeasibleParityError,
     LukatreeError,
     bitcost_csv,
@@ -59,12 +58,12 @@ def test_nearest_feasible_unary():
 
 
 def test_height_scan_deterministic_and_consistent():
-    cfg = HeightScanConfig(n=25, unary_fractions=(0.0, 0.4, 0.8), replicates=200)
-    rows = run_height_scan(cfg)
-    assert run_height_scan(cfg) == rows
-    assert height_scan_csv(rows) == height_scan_csv(run_height_scan(cfg))
+    cfg = dict(n=25, unary_fractions=(0.0, 0.4, 0.8), replicates=200)
+    rows = run_height_scan(**cfg)
+    assert run_height_scan(**cfg) == rows
+    assert height_scan_csv(rows) == height_scan_csv(run_height_scan(**cfg))
     assert len(rows) == 3
-    for fraction, row in zip(cfg.unary_fractions, rows):
+    for fraction, row in zip(cfg["unary_fractions"], rows):
         assert row.fraction == fraction
         assert row.u == nearest_feasible_unary(25, round(fraction * 25))
         t = motzkin_tuple(25, row.u)
@@ -77,8 +76,8 @@ def test_height_scan_deterministic_and_consistent():
 
 
 def test_height_scan_csv_shape():
-    cfg = HeightScanConfig(n=15, unary_fractions=(0.0, 0.5), replicates=50, seed=3)
-    text = height_scan_csv(run_height_scan(cfg))
+    rows = run_height_scan(n=15, unary_fractions=(0.0, 0.5), replicates=50, seed=3)
+    text = height_scan_csv(rows)
     lines = text.splitlines()
     assert lines[0] == HEIGHT_SCAN_COLUMNS
     assert len(lines) == 3
@@ -89,19 +88,15 @@ def test_height_scan_csv_shape():
 
 def test_height_scan_scalar_engine_agrees_with_batch():
     fractions = (0.0, 0.6)
-    batch = run_height_scan(
-        HeightScanConfig(n=15, unary_fractions=fractions, replicates=3000, seed=1)
-    )
+    batch = run_height_scan(n=15, unary_fractions=fractions, replicates=3000, seed=1)
     for method in ("dichotomic", "permutation"):
         scalar = run_height_scan(
-            HeightScanConfig(
-                n=15,
-                unary_fractions=fractions,
-                replicates=400,
-                seed=1,
-                method=method,
-                engine="scalar",
-            )
+            n=15,
+            unary_fractions=fractions,
+            replicates=400,
+            seed=1,
+            method=method,
+            engine="scalar",
         )
         for b, s in zip(batch, scalar):
             assert s.u == b.u and s.c == b.c
@@ -123,10 +118,10 @@ def test_height_law_oracle_matches_enumeration(motzkin):
 
 @pytest.mark.parametrize("engine,replicates", [("batch", 20_000), ("scalar", 2_000)])
 def test_height_scan_mean_matches_the_exact_law(engine, replicates):
-    cfg = HeightScanConfig(
+    rows = run_height_scan(
         n=41, unary_fractions=(0.0, 0.5, 0.9), replicates=replicates, engine=engine
     )
-    for row in run_height_scan(cfg):
+    for row in rows:
         law = motzkin_height_law(row.u, row.c)
         mean = sum(h * p for h, p in law.items())
         variance = sum(h * h * p for h, p in law.items()) - mean**2
@@ -136,10 +131,10 @@ def test_height_scan_mean_matches_the_exact_law(engine, replicates):
 
 def test_scalar_height_scan_seeds_draw_distinct_trees():
     def scan(seed):
-        cfg = HeightScanConfig(
+        rows = run_height_scan(
             n=41, unary_fractions=(0.5,), replicates=2, seed=seed, engine="scalar"
         )
-        return height_scan_csv(run_height_scan(cfg))
+        return height_scan_csv(rows)
 
     # replicate seeds of the form seed ^ rep would make seeds 0 and 1 share streams
     assert scan(0) != scan(1)
@@ -157,37 +152,32 @@ def test_scalar_height_scan_seeds_draw_distinct_trees():
         ((-math.inf,), 4),
         ((1.0,), 4),
         ((-0.1,), 4),
+        (("0.5",), 4),
     ],
 )
 @pytest.mark.parametrize("engine", ["batch", "scalar"])
 def test_height_scan_rejects_bad_config(fractions, replicates, engine):
-    cfg = HeightScanConfig(
-        n=9, unary_fractions=fractions, replicates=replicates, engine=engine
-    )
     with pytest.raises(LukatreeError):
-        run_height_scan(cfg)
+        run_height_scan(n=9, unary_fractions=fractions, replicates=replicates, engine=engine)
 
 
 @pytest.mark.parametrize("n", [0, -3])
 @pytest.mark.parametrize("engine", ["batch", "scalar"])
 def test_height_scan_rejects_n_below_1(n, engine):
     # the size is checked before the parity fix-up, so the message names only n
-    cfg = HeightScanConfig(n=n, unary_fractions=(0.0,), replicates=4, engine=engine)
     with pytest.raises(DomainTooSmallError, match=f"^need a tree size n >= 1, got n={n}$"):
-        run_height_scan(cfg)
+        run_height_scan(n=n, unary_fractions=(0.0,), replicates=4, engine=engine)
 
 
 @pytest.mark.parametrize("engine", ["batch", "scalar"])
 def test_height_scan_rejects_n_past_the_int32_path(engine):
-    cfg = HeightScanConfig(n=2**31 + 1, unary_fractions=(0.0,), replicates=1, engine=engine)
     with pytest.raises(LukatreeError, match="2\\^31"):
-        run_height_scan(cfg)
+        run_height_scan(n=2**31 + 1, unary_fractions=(0.0,), replicates=1, engine=engine)
 
 
 def test_height_scan_reads_the_seed_modulo_2_64():
     def scan(seed):
-        cfg = HeightScanConfig(n=21, unary_fractions=(0.5,), replicates=16, seed=seed)
-        return run_height_scan(cfg)
+        return run_height_scan(n=21, unary_fractions=(0.5,), replicates=16, seed=seed)
 
     assert scan(-1) == scan(2**64 - 1) == scan(2**65 - 1)
     assert scan(-1) != scan(1)
@@ -208,11 +198,10 @@ def test_height_scan_rejects_unknown_engine(monkeypatch):
         ("method", "batch", "gpu"),
         ("method", "scalar", "gpu"),
     ):
-        cfg = HeightScanConfig(
-            n=9, unary_fractions=(0.0,), replicates=4, engine=engine, method=method
-        )
         with pytest.raises(LukatreeError, match=f"^unknown {field} 'gpu'"):
-            run_height_scan(cfg)
+            run_height_scan(
+                n=9, unary_fractions=(0.0,), replicates=4, engine=engine, method=method
+            )
 
 
 def test_bitcost_scan_rows():

@@ -108,6 +108,20 @@ def test_only_sample_tree_builds_unchecked_trees():
     assert found == ["samplers.py sample_tree"]
 
 
+def test_only_samplers_runs_the_draw_loop():
+    # the dichotomic draw has one loop, bitstream._draw_letters, and only
+    # samplers calls it, so no module keeps a copy that skips the pool's check
+    found = {
+        path.name
+        for path in Path(lukatree.__file__).parent.glob("*.py")
+        if path.name != "bitstream.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        # a name, an attribute or an imported name
+        if any(getattr(node, field, None) == "_draw_letters" for field in ("id", "attr", "name"))
+    }
+    assert found == {"samplers.py"}
+
+
 def test_every_dataclass_is_frozen():
     # a dataclass checks or normalises its fields once, in __post_init__;
     # frozen, it keeps them so

@@ -25,16 +25,20 @@ from lukatree import (
     PlanarTree,
     TreeAlphabet,
     binary_alphabet,
+    bitcost_csv,
     classify,
-    dichotomic_draw,
+    enumerate_lukasiewicz,
     fisher_yates,
     height,
+    height_scan_csv,
     mean_cost_closed_form,
     motzkin_alphabet,
     motzkin_tuple,
     nearest_feasible_unary,
     path_heights,
     permutation_to_valid_word,
+    run_bitcost_scan,
+    run_height_scan,
     sample_tree,
     serialize,
     to_lukasiewicz,
@@ -121,7 +125,7 @@ def test_discrete_weights_decrement(weights, index):
     pool = _call(DiscreteWeights, weights)
     if pool is None:
         return
-    before = list(pool.weights)
+    before = pool.weights
     try:
         pool.decrement(index)
     except LukatreeError:
@@ -129,12 +133,6 @@ def test_discrete_weights_decrement(weights, index):
         assert not (0 <= index < len(before) and before[index] >= 1)
     else:
         assert 0 <= index < len(before) and pool.weights[index] == before[index] - 1
-
-
-def _edited_draw(weight):
-    pool = DiscreteWeights([2, 1])
-    pool.weights[1] = weight
-    return dichotomic_draw(BitSource(0), pool)
 
 
 def _decremented(index):
@@ -149,12 +147,12 @@ INTEGER_ARGUMENTS = {
     "sample_tree": (lambda x: sample_tree(BitSource(0), (2, x, 1), MOTZKIN), 1),
     "TreeAlphabet": (lambda x: TreeAlphabet(("a", "b"), (-1, x)), 0),
     "DiscreteWeights": (lambda x: DiscreteWeights([2, x]).weights, 1),
-    "dichotomic_draw": (_edited_draw, 1),
     "decrement": (_decremented, 1),
     "mean_cost_closed_form": (mean_cost_closed_form, 5),
     "uniform_int": (lambda x: uniform_int(BitSource(0), x), 5),
     "fisher_yates": (lambda x: fisher_yates(BitSource(0), x), 5),
     "next_bits": (lambda x: BitSource(0).next_bits(x), 9),
+    "BitSource": (lambda x: BitSource(x).next_bits(64), 1),
     "permutation_to_valid_word": (lambda x: permutation_to_valid_word([x, 2, 3], (2, 0, 1), MOTZKIN), 1),
     "format_word": (lambda x: MOTZKIN.format_word([2, x]), 0),
     "path_heights": (lambda x: path_heights([2, x, 0], MOTZKIN), 0),
@@ -162,6 +160,16 @@ INTEGER_ARGUMENTS = {
     "motzkin_tuple.n": (lambda x: motzkin_tuple(x, 2), 5),
     "motzkin_tuple.u": (lambda x: motzkin_tuple(5, x), 0),
     "nearest_feasible_unary": (lambda x: nearest_feasible_unary(5, x), 1),
+    "enumerate_lukasiewicz.limit": (lambda x: enumerate_lukasiewicz((2, 0, 1), MOTZKIN, x), 5),
+    "run_bitcost_scan.k_max": (lambda x: bitcost_csv(run_bitcost_scan(x, 2)), 3),
+    "run_bitcost_scan.replicates": (lambda x: bitcost_csv(run_bitcost_scan(3, x)), 2),
+    "run_bitcost_scan.seed": (lambda x: bitcost_csv(run_bitcost_scan(3, 2, x)), 1),
+    "run_height_scan.n": (lambda x: height_scan_csv(run_height_scan(x, (0.5,), 2)), 5),
+    "run_height_scan.replicates": (lambda x: height_scan_csv(run_height_scan(5, (0.5,), x)), 2),
+    "run_height_scan.seed": (lambda x: height_scan_csv(run_height_scan(5, (0.5,), 2, seed=x)), 1),
+    "run_height_scan.seed.scalar": (
+        lambda x: height_scan_csv(run_height_scan(5, (0.5,), 2, seed=x, engine="scalar")), 1
+    ),
     "batch_valid_words.counts": (
         lambda x: batch_valid_words(np.random.default_rng(0), (2, 0, x), 2).tolist(), 1
     ),
