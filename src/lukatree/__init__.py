@@ -14,7 +14,6 @@ from .alphabet import (
     DegreeTuple,
     TreeAlphabet,
     binary_alphabet,
-    format_alphabet,
     is_f_valid,
     motzkin_alphabet,
     parse_alphabet,
@@ -40,7 +39,6 @@ from .errors import (
     TupleNotValidError,
 )
 from .experiments import (
-    BITCOST_COLUMNS,
     HEIGHT_SCAN_COLUMNS,
     BitCostRow,
     ScanRow,
@@ -58,7 +56,6 @@ from .samplers import (
     mean_cost_closed_form,
     sample_lukasiewicz_word,
     sample_tree,
-    tuple_to_valid_word,
 )
 from .tree import (
     SERIALIZE_FORMATS,

@@ -36,7 +36,6 @@ __all__ = [
     "f_valid_counts",
     "degree_counts",
     "parse_alphabet",
-    "format_alphabet",
     "parse_tuple",
 ]
 
@@ -55,8 +54,13 @@ class TreeAlphabet:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        letters = tuple(self.letters)
-        degrees = tuple(self.degrees)
+        try:
+            letters = tuple(self.letters)
+            degrees = tuple(self.degrees)
+        except TypeError:  # no iterable
+            raise AlphabetError(
+                f"letters and degrees must be sequences: {self.letters!r}, {self.degrees!r}"
+            ) from None
         if not all(map(_is_int, degrees)):
             raise AlphabetError(f"degrees must be integers: {degrees!r}")
         object.__setattr__(self, "letters", letters)
@@ -90,15 +94,19 @@ class TreeAlphabet:
             return tuple(lookup[ch] for ch in text)
         except KeyError as exc:
             raise ArityMismatchError(
-                f"character {exc.args[0]!r} is not a letter of {format_alphabet(self)}"
+                f"character {exc.args[0]!r} is not a letter of {self}"
             ) from None
 
     def format_word(self, word: Sequence[int]) -> str:
         """Inverse of parse_word; a letter outside the alphabet is an ArityMismatchError."""
         return "".join(_per_letter(self.letters, word))
 
+    def __str__(self) -> str:
+        """The "sym:degree,..." text form, the inverse of parse_alphabet."""
+        return ",".join(f"{s}:{d}" for s, d in zip(self.letters, self.degrees))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TreeAlphabet({format_alphabet(self)!r})"
+        return f"TreeAlphabet({str(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,10 @@ class DegreeTuple:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(self.counts)
+        try:
+            counts = tuple(self.counts)
+        except TypeError:  # no iterable
+            raise ArityMismatchError(f"counts must be a sequence: {self.counts!r}") from None
         if not counts or not all(_is_int(c) and c >= 0 for c in counts):
             raise ArityMismatchError(f"counts must be non-negative integers, not empty: {counts!r}")
         object.__setattr__(self, "counts", tuple(map(int, counts)))
@@ -207,11 +218,6 @@ def parse_alphabet(text: str) -> TreeAlphabet:
             raise AlphabetError(f"malformed degree in alphabet item {item!r}") from None
         letters.append(sym)
     return TreeAlphabet(tuple(letters), tuple(degrees))
-
-
-def format_alphabet(alphabet: TreeAlphabet) -> str:
-    """Inverse of parse_alphabet."""
-    return ",".join(f"{s}:{d}" for s, d in zip(alphabet.letters, alphabet.degrees))
 
 
 def parse_tuple(text: str) -> DegreeTuple:

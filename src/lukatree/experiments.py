@@ -24,9 +24,9 @@ the emitted CSV bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Real
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .alphabet import DegreeTuple, motzkin_alphabet
 from .bitstream import _MASK64, BitSource
@@ -44,7 +44,6 @@ __all__ = [
     "run_bitcost_scan",
     "bitcost_csv",
     "HEIGHT_SCAN_COLUMNS",
-    "BITCOST_COLUMNS",
 ]
 
 
@@ -101,13 +100,11 @@ class ScanRow:
     stddev: float
 
 
-HEIGHT_SCAN_COLUMNS = (
-    "fraction,u,c,n,replicates,mean_height,mean_height_over_sqrt_n,mean_norm,stddev"
-)
+HEIGHT_SCAN_COLUMNS = ",".join(f.name for f in fields(ScanRow))
 
 
 def run_height_scan(
-    n: int, unary_fractions: Sequence[float], replicates: int,
+    n: int, unary_fractions: Iterable[float], replicates: int,
     *, seed: int = 0, method: str = "dichotomic", engine: str = "batch",
 ) -> list[ScanRow]:
     """Sample heights of uniform Motzkin trees of size n for each unary fraction.
@@ -122,11 +119,16 @@ def run_height_scan(
     height recurrence reads it straight from the words, so the rotated copy
     is never built.  The run is deterministic for fixed settings; like
     BitSource, which checks it, the batch engine reads the seed modulo 2^64.
-    n and replicates must be integers, and a fraction a real number.  n
+    n and replicates must be integers, and unary_fractions an iterable of
+    real numbers, which is read once; a row keeps its fraction as a float.  n
     below 1 is a DomainTooSmallError, raised before any unary count is
     derived from it, and an unknown engine ("batch" or "scalar") or method
     is a LukatreeError, raised before anything is drawn.
     """
+    try:  # read once, so an iterator is not spent by the checks
+        unary_fractions = tuple(unary_fractions)
+    except TypeError:
+        raise LukatreeError(f"unary fractions must be iterable: {unary_fractions!r}") from None
     if not _is_int(replicates) or replicates < 1:
         raise DomainTooSmallError(f"need an integer count of replicates >= 1, got {replicates!r}")
     if not unary_fractions:
@@ -172,7 +174,7 @@ def run_height_scan(
         mean = float(np.mean(heights))
         rows.append(
             ScanRow(
-                fraction=fraction,
+                fraction=float(fraction),
                 u=u,
                 c=c,
                 n=n,
@@ -212,12 +214,6 @@ class BitCostRow:
     ratio_offset: float
     ctilde: float  # closed-form worst-case mean, as float
     bound: float  # 2 + log2 k
-
-
-BITCOST_COLUMNS = (
-    "k,replicates,mean_bits,stderr,ratio,"
-    "mean_bits_offset,stderr_offset,ratio_offset,ctilde,bound"
-)
 
 
 def run_bitcost_scan(k_max: int, replicates: int, seed: int = 0) -> list[BitCostRow]:
@@ -271,7 +267,7 @@ def run_bitcost_scan(k_max: int, replicates: int, seed: int = 0) -> list[BitCost
 
 def bitcost_csv(rows: Sequence[BitCostRow]) -> str:
     """Render bit-cost rows as CSV, header included."""
-    lines = [BITCOST_COLUMNS]
+    lines = [",".join(f.name for f in fields(BitCostRow))]
     for r in rows:
         lines.append(
             f"{r.k},{r.replicates},{r.mean_bits:.6f},{r.stderr:.6f},{r.ratio:.6f},"

@@ -50,7 +50,6 @@ from .words import _place_blocks, to_lukasiewicz
 __all__ = [
     "DiscreteWeights",
     "dichotomic_draw",
-    "tuple_to_valid_word",
     "sample_tree",
     "sample_lukasiewicz_word",
     "mean_cost_closed_form",
@@ -125,23 +124,6 @@ def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
     return letter
 
 
-def tuple_to_valid_word(
-    source: BitSource, t: CountsLike, alphabet: TreeAlphabet
-) -> tuple[int, ...]:
-    """Uniform valid word with letter counts t, letter by letter.
-
-    Each position draws a letter with probability proportional to its
-    remaining count, which makes every arrangement of the multiset equally
-    likely; the expected cost is below (2 + log2 k) bits per letter.  The
-    final letter is forced and free.  The draws and decrements are those of
-    :func:`dichotomic_draw` and :meth:`DiscreteWeights.decrement`, in one
-    loop over a plain list.
-    """
-    left = list(f_valid_counts(t, alphabet))
-    n = sum(left)
-    return tuple(_draw_letters(source, left, n, n))
-
-
 def sample_lukasiewicz_word(
     source: BitSource,
     t: CountsLike,
@@ -152,7 +134,12 @@ def sample_lukasiewicz_word(
 
     The counts are checked before any bit is read: they must be f-valid, and
     their total n no more than a list can hold (sys.maxsize), else a
-    LimitExceededError.  The shuffle's permutation goes to the unchecked
+    LimitExceededError.  The dichotomic fill draws each letter with
+    probability proportional to its remaining count, so every arrangement of
+    the multiset is equally likely, at below (2 + log2 k) expected bits a
+    letter; the last letter is forced and free.  Its draws and decrements
+    are those of dichotomic_draw and DiscreteWeights.decrement, in one loop
+    over a plain list.  The shuffle's permutation goes to the unchecked
     block fill, words._place_blocks.
     """
     if method not in METHODS:
@@ -164,7 +151,7 @@ def sample_lukasiewicz_word(
             f"tuple total {n} is more letters than a list can hold ({sys.maxsize})"
         )
     if method == "dichotomic":
-        word = tuple_to_valid_word(source, counts, alphabet)
+        word = _draw_letters(source, list(counts), n, n)
     else:
         word = _place_blocks(fisher_yates(source, n), counts)
     return to_lukasiewicz(word, alphabet)

@@ -7,7 +7,6 @@ from lukatree import (
     TreeAlphabet,
     TupleNotValidError,
     binary_alphabet,
-    format_alphabet,
     is_f_valid,
     motzkin_alphabet,
     parse_alphabet,
@@ -45,6 +44,9 @@ def test_construction_errors():
         (("a", "b"), (-1, -2), "not non-decreasing"),
         (("a", "b"), (-1,), "equally many letters and degrees"),
         ((), (), "equally many letters and degrees"),
+        # an int where a sequence belongs
+        (5, (-1,), "must be sequences"),
+        (("a",), -1, "must be sequences"),
     ]
     for letters, degrees, message in cases:
         with pytest.raises(AlphabetError, match=message):
@@ -62,7 +64,7 @@ def test_repeated_degrees_allowed():
 def test_alphabet_text_form_round_trip():
     A = parse_alphabet("a:-1,b:0,c:1")
     assert A == motzkin_alphabet()
-    assert format_alphabet(A) == "a:-1,b:0,c:1"
+    assert str(A) == "a:-1,b:0,c:1"
     assert parse_alphabet(" a:-1 , c:1 ") == binary_alphabet()
     with pytest.raises(AlphabetError, match="want sym:degree"):
         parse_alphabet("a-1,b:0")
@@ -115,5 +117,7 @@ def test_degree_tuple_validation():
         DegreeTuple((1, -1))
     with pytest.raises(ArityMismatchError):
         DegreeTuple(())
+    with pytest.raises(ArityMismatchError, match="must be a sequence"):
+        DegreeTuple(5)
     assert len(DegreeTuple((0, 2))) == 2
     assert list(DegreeTuple((0, 2))) == [0, 2]

@@ -12,10 +12,9 @@ from lukatree import (
     BitSource,
     DomainTooSmallError,
     fisher_yates,
-    motzkin_alphabet,
-    tuple_to_valid_word,
     uniform_int,
 )
+from lukatree.bitstream import _draw_letters
 
 
 def test_determinism_and_bit_values():
@@ -393,7 +392,7 @@ def test_no_hidden_entropy():
     fisher_yates(source, 500)
     uniform_int(source, 1000)
     source.next_bit()
-    tuple_to_valid_word(source, (21, 7, 20), motzkin_alphabet())
+    _draw_letters(source, [21, 7, 20], 48, 48)
     assert source.bits_consumed == source.tally and source._bits is bits
     fresh = BitSource(3)
     fresh.next_bits(source.bits_consumed)
@@ -407,7 +406,7 @@ def test_bulk_loops_make_no_call_per_bit(op):
     # and the shuffle 4 words (256 bits) for its int, no earlier
     source = _TalliedSource(11)
     if op == "fill":
-        tuple_to_valid_word(source, (3334, 3334, 3333), motzkin_alphabet())
+        _draw_letters(source, [3334, 3334, 3333], 10001, 10001)
         per_fetch = 1024
     else:
         fisher_yates(source, 10001)

@@ -3,12 +3,12 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import motzkin_height_law
 from lukatree import batch, experiments
 from lukatree import (
-    BITCOST_COLUMNS,
     HEIGHT_SCAN_COLUMNS,
     DegreeTuple,
     DomainTooSmallError,
@@ -86,6 +86,20 @@ def test_height_scan_csv_shape():
     assert first[0] == "0.0" and first[3] == "15" and first[4] == "50"
 
 
+def test_height_scan_reads_the_fractions_once():
+    # the checks and the scan share one pass, so a generator is not spent
+    rows = run_height_scan(15, (0.0, 0.5), 4, seed=3)
+    assert run_height_scan(15, (f for f in (0.0, 0.5)), 4, seed=3) == rows
+
+
+def test_height_scan_csv_writes_a_fraction_as_a_float():
+    # a numpy float or a bool fraction is the float it stands for, in the row and the CSV
+    rows = run_height_scan(11, (np.float64(0.5), False), 2)
+    assert rows == run_height_scan(11, (0.5, 0.0), 2)
+    assert [type(row.fraction) for row in rows] == [float, float]
+    assert [line.split(",")[0] for line in height_scan_csv(rows).splitlines()[1:]] == ["0.5", "0.0"]
+
+
 def test_height_scan_scalar_engine_agrees_with_batch():
     fractions = (0.0, 0.6)
     batch = run_height_scan(n=15, unary_fractions=fractions, replicates=3000, seed=1)
@@ -153,6 +167,7 @@ def test_scalar_height_scan_seeds_draw_distinct_trees():
         ((1.0,), 4),
         ((-0.1,), 4),
         (("0.5",), 4),
+        (0.5, 4),  # no iterable
     ],
 )
 @pytest.mark.parametrize("engine", ["batch", "scalar"])
@@ -236,7 +251,9 @@ def test_bitcost_scan_pinned_past_k_64():
 def test_bitcost_csv_shape():
     text = bitcost_csv(run_bitcost_scan(3, replicates=50, seed=2))
     lines = text.splitlines()
-    assert lines[0] == BITCOST_COLUMNS
+    assert lines[0] == (
+        "k,replicates,mean_bits,stderr,ratio,mean_bits_offset,stderr_offset,ratio_offset,ctilde,bound"
+    )
     assert len(lines) == 3
     assert lines[1].startswith("2,50,")
     assert text.endswith("\n")

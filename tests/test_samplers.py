@@ -11,6 +11,7 @@ import lukatree
 from conftest import Exhausted, ReplayBitSource, exact_distribution
 from test_bitstream import _DefinedSource, _defined_stream, _reference_fisher_yates
 from lukatree import samplers, words
+from lukatree.bitstream import _draw_letters
 from lukatree import (
     METHODS,
     ArityMismatchError,
@@ -33,7 +34,6 @@ from lukatree import (
     sample_tree,
     serialize,
     to_lukasiewicz,
-    tuple_to_valid_word,
     uniform_int,
 )
 
@@ -118,6 +118,12 @@ def test_draw_matches_the_reference_draw(ws, seed, draws):
     assert new.next_bits(64) == old.next_bits(64)
 
 
+def _fill(source, counts):
+    """The dichotomic word fill of sample_lukasiewicz_word, before the rotation."""
+    n = sum(counts)
+    return tuple(_draw_letters(source, list(counts), n, n))
+
+
 def _reference_fill(source, counts):
     """The word fill as the reference draw and decrement, letter by letter."""
     pool = DiscreteWeights(counts)
@@ -147,7 +153,7 @@ def test_word_fill_is_the_draw_and_decrement_composition(unary, binary_nodes, se
     fill, replay, reference = BitSource(seed), BitSource(seed), BitSource(seed)
     for source in (fill, replay, reference):
         source.next_bits(skip)
-    word = tuple_to_valid_word(fill, counts, parse_alphabet("a:-1,b:0,c:1"))
+    word = _fill(fill, counts)
     pool = DiscreteWeights(counts)
     letters = []
     for _ in range(sum(counts)):
@@ -161,10 +167,9 @@ def test_word_fill_is_the_draw_and_decrement_composition(unary, binary_nodes, se
 
 def test_fill_next_bit_and_shuffle_interleave_on_one_source():
     counts = (13, 5, 12)
-    alphabet = parse_alphabet("a:-1,b:0,c:1")
     new, old = BitSource(21), BitSource(21)
     for _ in range(3):
-        assert tuple_to_valid_word(new, counts, alphabet) == _reference_fill(old, counts)
+        assert _fill(new, counts) == _reference_fill(old, counts)
         assert new.next_bit() == old.next_bit()
         assert fisher_yates(new, 77) == _reference_fisher_yates(old, 77)
         assert new.bits_consumed == old.bits_consumed
@@ -202,7 +207,7 @@ def _read(source, defined, kind, arg):
         return dichotomic_draw(source, DiscreteWeights(arg)), _reference_draw(defined, DiscreteWeights(arg))
     if kind == "shuffle":
         return fisher_yates(source, arg), _reference_fisher_yates(defined, arg)
-    return tuple_to_valid_word(source, arg, parse_alphabet("a:-1,b:0,c:1")), _reference_fill(defined, arg)
+    return _fill(source, arg), _reference_fill(defined, arg)
 
 
 @settings(max_examples=150, deadline=None)
@@ -229,7 +234,7 @@ def test_stream_is_the_same_under_any_mix_of_readers(seed, reads):
 
 
 _ONE_OF_EACH = (
-    lambda source: tuple_to_valid_word(source, (21, 7, 20), parse_alphabet("a:-1,b:0,c:1")),
+    lambda source: _fill(source, (21, 7, 20)),
     lambda source: fisher_yates(source, 300),
     lambda source: dichotomic_draw(source, DiscreteWeights((3, 1, 2))),
     lambda source: source.next_bits(70),
@@ -259,7 +264,7 @@ def test_the_replay_oracle_reads_as_the_source_does(seed):
 
 def test_one_letter_word_costs_nothing():
     source = BitSource(8)
-    assert tuple_to_valid_word(source, (1,), parse_alphabet("a:-1")) == (0,)
+    assert _fill(source, (1,)) == (0,)
     assert source.bits_consumed == 0
     assert source.next_bits(64) == BitSource(8).next_bits(64)
 
@@ -346,10 +351,10 @@ def test_three_way_even_split_mean_cost():
     ],
     ids=["binary-21", "motzkin-211", "motzkin-201", "abcd-3001"],
 )
-def test_tuple_to_valid_word_law_is_exact(alphabet, t):
+def test_word_fill_law_is_exact(alphabet, t):
     alphabet = parse_alphabet(alphabet)
     probs, residual = exact_distribution(
-        lambda src: tuple_to_valid_word(src, t, alphabet), max_depth=40
+        lambda src: _fill(src, t), max_depth=40
     )
     assert residual < Fraction(1, 10**6)
     support = set(enumerate_valid_words(t, alphabet))
