@@ -14,7 +14,9 @@ live here, and every other reader calls ``next_bit`` or ``next_bits``.
 
 from __future__ import annotations
 
+import functools
 import random
+import sys
 from operator import length_hint
 
 from .errors import DomainTooSmallError, _is_int
@@ -26,11 +28,15 @@ _MASK64 = (1 << 64) - 1
 # Fetch widths.  _more() makes the digits of 16 words (1024 bits), or of as
 # many more as a long read needs, with one format() call; the word fill ran
 # as fast with any width from 4 to 64 words.
-# The shuffle reads b-bit blocks off an int and splices fresh bits above its
-# unread ones, which copies the whole int, so it splices 4 words (256 bits)
-# at a time.
+# The shuffle cuts chunks of up to 256 b-bit blocks off an int and, when
+# fewer than b bits are left, splices one chunk's worth, 4 * b words, above
+# them.  At n = 10,001, 64- and 128-block chunks were slower and 512-block
+# chunks no faster.
 _DIGIT_WORDS = 16
-_SHUFFLE_WORDS = 4
+
+# The shuffle reads a chunk's slots as native ints; a big-endian machine
+# lists them last block first.
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class BitSource:
@@ -65,8 +71,9 @@ class BitSource:
     The word fill, ``_draw_letters``, iterates the digits backwards (a 1 is
     the byte 49), clears them and calls ``_more()`` when it has read them all,
     and deletes what it read in a ``finally``, so ``bits_consumed`` is exact
-    even when an error stops it.  The shuffle reads ``_bits`` as an int and
-    writes what it leaves back.
+    even when an error stops it.  The shuffle reads ``_bits`` as an int,
+    cuts up to 256 blocks at a time off it as a list of ints, and writes
+    what it leaves back.
     """
 
     __slots__ = ("_rng", "_bits", "_fetched")
@@ -141,10 +148,15 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
     uniform position in 1..i.  Uses Theta(n log n) random bits.  Each
     position is :func:`uniform_int`'s rejection step, run on an int holding
     the source's unread digits (see :class:`BitSource`) under a leading 1,
-    next bit lowest: a b-bit block is its low b unread bits.  Whenever fewer
-    than b bits are left, 4 fresh words are spliced in above them.  So the
-    blocks, the positions and the bit count are those of
-    ``uniform_int(source, i)`` for i = n, .., 2.
+    next bit lowest: a b-bit block is its low b unread bits.  The blocks are
+    cut off that int a chunk at a time: up to 256 of them, and no more than
+    two per position left at this b, are spread into one 8-, 16-, 32- or
+    64-bit slot each by :func:`_slots`' rounds and read as a list of ints;
+    the int then drops the blocks the positions used.  Only when fewer than
+    b bits are left is one chunk's worth, 4 * b words, spliced in above
+    them.  So the blocks, the positions and the bit count are those of
+    ``uniform_int(source, i)`` for i = n, .., 2, and no bit is fetched
+    before a block needs it.
 
     The result is a permutation by construction, so the permutation sampler
     block-fills it through :func:`lukatree.words._place_blocks`, which checks
@@ -160,21 +172,61 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
         # positions i in 2^(b-1)+1 .. 2^b all draw b-bit blocks
         for b in range(int(n - 1).bit_length(), 0, -1):
             top = 1 << b
-            mask = top - 1
-            # i is the 0-based index of 1-based position i + 1
-            for i in range(min(n, top) - 1, (top >> 1) - 1, -1):
-                while True:
-                    while buf < top:  # fewer than b unread bits under the leading 1
-                        avail = buf.bit_length() - 1
-                        buf = buf ^ (1 << avail) | fetch(_SHUFFLE_WORDS) << avail
-                    j = buf & mask
-                    buf >>= b
+            low = top >> 1
+            fmt, size, rounds = _slots(b)
+            i = min(int(n), top) - 1  # the 0-based index of 1-based position i + 1
+            while i >= low:
+                while buf < top:  # fewer than b unread bits under the leading 1
+                    avail = buf.bit_length() - 1
+                    buf = buf ^ (1 << avail) | fetch(4 * b) << avail
+                # a position takes under two blocks on average, so the last
+                # positions at this b need not spread a whole chunk
+                count = min(256, (buf.bit_length() - 1) // b, 2 * (i - low) + 2)
+                chunk = buf & ((1 << count * b) - 1)
+                # the rounds for groups wider than count blocks move nothing
+                for mask, shift in rounds[8 - (count - 1).bit_length() :]:
+                    moved = chunk & mask
+                    chunk = chunk ^ moved | moved << shift
+                blocks = memoryview(chunk.to_bytes(count * size, sys.byteorder)).cast(fmt).tolist()
+                if _BIG_ENDIAN:
+                    blocks.reverse()
+                it = iter(blocks)
+                for j in it:
                     if j <= i:
-                        break
-                perm[i], perm[j] = perm[j], perm[i]
+                        perm[i], perm[j] = perm[j], perm[i]
+                        i -= 1
+                        if i < low:
+                            break
+                buf >>= (count - length_hint(it)) * b
     finally:
         source._bits[:] = format(buf, "b")[1:].encode()
     return perm
+
+
+@functools.cache
+def _slots(b: int) -> tuple[str, int, tuple[tuple[int, int], ...]]:
+    """How :func:`fisher_yates` spreads up to 256 packed b-bit blocks into slots.
+
+    The slot is the smallest of 8, 16, 32 and 64 bits that holds b bits, w
+    bits wide.  Returns its memoryview format, its size in bytes and the
+    spreading rounds, a (mask, shift) pair for each half-group size h = 128,
+    64, .., 1: a group of 2h blocks sits packed at every 2h * w bits, and
+    the round moves its upper h blocks, the mask's bits, up by h * (w - b)
+    bits.  After the last round block k starts at bit k * w.  Blocks that
+    fill their slots need no round.  Built on first use, so importing the
+    package builds none.
+    """
+    k = max((b - 1).bit_length() - 3, 0)
+    size = 1 << k
+    w = 8 * size
+    ones = (1 << 256 * w) - 1
+    rounds = tuple(
+        # the upper half of one group, times a repunit with a 1 at every group
+        ((((1 << h * b) - 1) << h * b) * (ones // ((1 << 2 * h * w) - 1)), h * (w - b))
+        for h in (128, 64, 32, 16, 8, 4, 2, 1)
+        if w > b
+    )
+    return "BHIQ"[k], size, rounds
 
 
 def _draw_letters(source: BitSource, left: list[int], total: int, count: int) -> list[int]:

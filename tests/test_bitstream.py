@@ -1,10 +1,12 @@
 import itertools
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import Exhausted, ReplayBitSource, exact_distribution
+from conftest import Exhausted, ReplayBitSource, checkout_env, exact_distribution
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -340,6 +342,17 @@ def _reference_fisher_yates(source, n):
 @example(seed=0, skip=1, n=600)  # on 63 unread bits, the most there can be
 @example(seed=0, skip=64, n=600)
 @example(seed=0, skip=63, n=3)  # on one unread bit, short of a 2-bit block
+# where the slot a block is read from changes or fills: b = 9 is the first
+# in a 16-bit slot, b = 16 the last, b = 17 the first in a 32-bit slot
+@example(seed=1, skip=0, n=257)
+@example(seed=1, skip=1, n=257)
+@example(seed=1, skip=63, n=257)
+@example(seed=1, skip=0, n=65536)
+@example(seed=1, skip=1, n=65536)
+@example(seed=1, skip=63, n=65536)
+@example(seed=1, skip=0, n=65537)
+@example(seed=1, skip=1, n=65537)
+@example(seed=1, skip=63, n=65537)
 def test_shuffle_matches_the_reference_shuffle(seed, skip, n):
     # skip bits read first start the loop at every position of the buffer
     new, old = BitSource(seed), BitSource(seed)
@@ -347,6 +360,31 @@ def test_shuffle_matches_the_reference_shuffle(seed, skip, n):
     assert fisher_yates(new, n) == _reference_fisher_yates(old, n)
     assert new.bits_consumed == old.bits_consumed
     assert new.next_bits(64) == old.next_bits(64)
+
+
+@pytest.mark.parametrize("n", [300, 5000])
+def test_shuffle_fetches_no_bit_before_a_block_needs_it(n):
+    # a replay hands over its whole script on the first fetch and raises
+    # Exhausted on the next, so a shuffle that fetched ahead of its blocks
+    # would fail on exactly the bits a seeded shuffle read
+    seeded = BitSource(29)
+    perm = fisher_yates(seeded, n)
+    script = tuple(_defined_stream(29, seeded.bits_consumed))
+    replay = ReplayBitSource(script)
+    assert fisher_yates(replay, n) == perm
+    assert replay.bits_consumed == len(script)
+    with pytest.raises(Exhausted):
+        fisher_yates(ReplayBitSource(script[:-1]), n)
+
+
+def test_import_builds_no_shuffle_masks():
+    # the spreading masks are built per block width on first use, not at import
+    probe = "import lukatree, lukatree.cli; print(lukatree.bitstream._slots.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=checkout_env()
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
 
 
 class _TalliedSource(BitSource):
@@ -399,18 +437,47 @@ def test_no_hidden_entropy():
     assert fresh.next_bits(64) == source.next_bits(64)
 
 
+class _WidthsSource(_DefinedSource):
+    """The defined stream, listing the width of every next_bits read."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.widths = []
+
+    def next_bits(self, count):
+        self.widths.append(count)
+        return super().next_bits(count)
+
+
+def _shuffle_fetches(seed, n):
+    """Fetches of the chunk rule over the reference shuffle's blocks.
+
+    The rule: when a b-bit block is due and fewer than b bits are unread,
+    fetch one chunk's worth, 256 blocks of b bits.
+    """
+    source = _WidthsSource(seed)
+    _reference_fisher_yates(source, n)
+    fetches = unread = 0
+    for b in source.widths:
+        if unread < b:
+            unread += 256 * b
+            fetches += 1
+        unread -= b
+    return fetches
+
+
 @pytest.mark.parametrize("op", ["fill", "shuffle"])
 def test_bulk_loops_make_no_call_per_bit(op):
     # at n = 10001 the word fill and the shuffle read the buffer themselves;
-    # from a fresh source the fill fetches 16 words (1024 bits) of digits
-    # and the shuffle 4 words (256 bits) for its int, no earlier
+    # from a fresh source the fill fetches 16 words (1024 bits) of digits,
+    # and the shuffle 4 * b words (256 b-bit blocks) for its int, no earlier
     source = _TalliedSource(11)
     if op == "fill":
         _draw_letters(source, [3334, 3334, 3333], 10001, 10001)
-        per_fetch = 1024
+        fetches = -(-source.bits_consumed // 1024)
     else:
         fisher_yates(source, 10001)
-        per_fetch = 256
+        fetches = _shuffle_fetches(11, 10001)
     assert source.calls["next_bit"] == source.calls["next_bits"] == 0
-    assert source.calls["_fetch"] == -(-source.bits_consumed // per_fetch)
+    assert source.calls["_fetch"] == fetches
     assert source.tally == source.bits_consumed
