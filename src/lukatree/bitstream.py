@@ -29,10 +29,13 @@ _MASK64 = (1 << 64) - 1
 # many more as a long read needs, with one format() call; the word fill ran
 # as fast with any width from 4 to 64 words.
 # The shuffle cuts chunks of up to 256 b-bit blocks off an int and, when
-# fewer than b bits are left, splices one chunk's worth, 4 * b words, above
+# fewer than b bits are left, splices the words of the next chunk above
 # them.  At n = 10,001, 64- and 128-block chunks were slower and 512-block
-# chunks no faster.
+# chunks no faster.  A chunk costs about a microsecond whatever its size,
+# so a b-range of at most _SHORT_RANGE positions shifts its blocks off one
+# at a time and splices 4 words at a time; the two broke even near 64.
 _DIGIT_WORDS = 16
+_SHORT_RANGE = 64
 
 # The shuffle reads a chunk's slots as native ints; a big-endian machine
 # lists them last block first.
@@ -72,8 +75,8 @@ class BitSource:
     the byte 49), clears them and calls ``_more()`` when it has read them all,
     and deletes what it read in a ``finally``, so ``bits_consumed`` is exact
     even when an error stops it.  The shuffle reads ``_bits`` as an int,
-    cuts up to 256 blocks at a time off it as a list of ints, and writes
-    what it leaves back.
+    cuts its blocks off it, up to 256 at a time as a list of ints or one at
+    a time in a short run of positions, and writes what it leaves back.
     """
 
     __slots__ = ("_rng", "_bits", "_fetched")
@@ -148,13 +151,16 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
     uniform position in 1..i.  Uses Theta(n log n) random bits.  Each
     position is :func:`uniform_int`'s rejection step, run on an int holding
     the source's unread digits (see :class:`BitSource`) under a leading 1,
-    next bit lowest: a b-bit block is its low b unread bits.  The blocks are
-    cut off that int a chunk at a time: up to 256 of them, and no more than
-    two per position left at this b, are spread into one 8-, 16-, 32- or
-    64-bit slot each by :func:`_slots`' rounds and read as a list of ints;
-    the int then drops the blocks the positions used.  Only when fewer than
-    b bits are left is one chunk's worth, 4 * b words, spliced in above
-    them.  So the blocks, the positions and the bit count are those of
+    next bit lowest: a b-bit block is its low b unread bits.  Where more
+    than 64 positions draw b-bit blocks, the blocks are cut off that int a
+    chunk at a time: up to 256 of them, and no more than two per position
+    left at this b, are spread into one 8-, 16-, 32- or 64-bit slot each by
+    :func:`_slots`' rounds and read as a list of ints; the int then drops
+    the blocks the positions used.  A shorter run of positions shifts its
+    blocks off one at a time, as a chunk's fixed cost would outweigh what it
+    saves.  Only when fewer than b bits are left are more spliced in above
+    them: the words of the chunk about to be cut, or 4 words.  So the
+    blocks, the positions and the bit count are those of
     ``uniform_int(source, i)`` for i = n, .., 2, and no bit is fetched
     before a block needs it.
 
@@ -165,23 +171,38 @@ def fisher_yates(source: BitSource, n: int) -> list[int]:
     """
     if not _is_int(n) or n < 1:
         raise DomainTooSmallError(f"fisher_yates needs an integer n >= 1, got {n!r}")
+    n = int(n)  # a numpy n would wrap in the chunks' shift arithmetic
     perm = list(range(1, n + 1))
     buf = int(b"1" + source._bits, 2)
     fetch = source._fetch
     try:
         # positions i in 2^(b-1)+1 .. 2^b all draw b-bit blocks
-        for b in range(int(n - 1).bit_length(), 0, -1):
+        for b in range((n - 1).bit_length(), 0, -1):
             top = 1 << b
             low = top >> 1
+            i = min(n, top) - 1  # the 0-based index of 1-based position i + 1
+            if i - low < _SHORT_RANGE:
+                mask = top - 1
+                for i in range(i, low - 1, -1):
+                    while True:
+                        while buf < top:  # fewer than b unread bits under the leading 1
+                            avail = buf.bit_length() - 1
+                            buf = buf ^ (1 << avail) | fetch(4) << avail
+                        j = buf & mask
+                        buf >>= b
+                        if j <= i:
+                            break
+                    perm[i], perm[j] = perm[j], perm[i]
+                continue
             fmt, size, rounds = _slots(b)
-            i = min(int(n), top) - 1  # the 0-based index of 1-based position i + 1
             while i >= low:
-                while buf < top:  # fewer than b unread bits under the leading 1
-                    avail = buf.bit_length() - 1
-                    buf = buf ^ (1 << avail) | fetch(4 * b) << avail
                 # a position takes under two blocks on average, so the last
                 # positions at this b need not spread a whole chunk
-                count = min(256, (buf.bit_length() - 1) // b, 2 * (i - low) + 2)
+                count = min(256, 2 * (i - low) + 2)
+                while buf < top:
+                    avail = buf.bit_length() - 1
+                    buf = buf ^ (1 << avail) | fetch((count * b + 63) >> 6) << avail
+                count = min(count, (buf.bit_length() - 1) // b)
                 chunk = buf & ((1 << count * b) - 1)
                 # the rounds for groups wider than count blocks move nothing
                 for mask, shift in rounds[8 - (count - 1).bit_length() :]:

@@ -353,6 +353,12 @@ def _reference_fisher_yates(source, n):
 @example(seed=1, skip=0, n=65537)
 @example(seed=1, skip=1, n=65537)
 @example(seed=1, skip=63, n=65537)
+# b = 8 at n = 192 is the longest run of positions read one block at a time,
+# and at n = 193 the shortest read a chunk at a time
+@example(seed=2, skip=0, n=192)
+@example(seed=2, skip=63, n=192)
+@example(seed=2, skip=0, n=193)
+@example(seed=2, skip=63, n=193)
 def test_shuffle_matches_the_reference_shuffle(seed, skip, n):
     # skip bits read first start the loop at every position of the buffer
     new, old = BitSource(seed), BitSource(seed)
@@ -437,32 +443,30 @@ def test_no_hidden_entropy():
     assert fresh.next_bits(64) == source.next_bits(64)
 
 
-class _WidthsSource(_DefinedSource):
-    """The defined stream, listing the width of every next_bits read."""
+def _shuffle_fetches(seed, sizes):
+    """Fetches of the shuffles of these sizes, in turn, over the defined stream.
 
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.widths = []
-
-    def next_bits(self, count):
-        self.widths.append(count)
-        return super().next_bits(count)
-
-
-def _shuffle_fetches(seed, n):
-    """Fetches of the chunk rule over the reference shuffle's blocks.
-
-    The rule: when a b-bit block is due and fewer than b bits are unread,
-    fetch one chunk's worth, 256 blocks of b bits.
+    The rule: when a b-bit block is due for 0-based position i and fewer
+    than b bits are unread, fetch 4 words if at most 64 positions draw
+    b-bit blocks, else the words of the next chunk, which holds two blocks
+    per position left at this b, at most 256.
     """
-    source = _WidthsSource(seed)
-    _reference_fisher_yates(source, n)
+    source = _DefinedSource(seed)
     fetches = unread = 0
-    for b in source.widths:
-        if unread < b:
-            unread += 256 * b
-            fetches += 1
-        unread -= b
+    for n in sizes:
+        for i in range(n - 1, 0, -1):  # as uniform_int(source, i + 1)
+            b = i.bit_length()
+            low = 1 << b - 1
+            while True:
+                if unread < b:
+                    if min(n, 2 * low) - low <= 64:
+                        unread += 256
+                    else:
+                        unread += -(-min(256, 2 * (i - low + 1)) * b // 64) * 64
+                    fetches += 1
+                unread -= b
+                if source.next_bits(b) <= i:
+                    break
     return fetches
 
 
@@ -470,14 +474,19 @@ def _shuffle_fetches(seed, n):
 def test_bulk_loops_make_no_call_per_bit(op):
     # at n = 10001 the word fill and the shuffle read the buffer themselves;
     # from a fresh source the fill fetches 16 words (1024 bits) of digits,
-    # and the shuffle 4 * b words (256 b-bit blocks) for its int, no earlier
+    # and the shuffle a chunk's words or 4 words for its int, no earlier;
+    # the small shuffles after it read on from what it left, one at 193 the
+    # shortest run of positions cut a chunk at a time, one at 192 the longest
+    # read one block at a time
     source = _TalliedSource(11)
     if op == "fill":
         _draw_letters(source, [3334, 3334, 3333], 10001, 10001)
         fetches = -(-source.bits_consumed // 1024)
     else:
-        fisher_yates(source, 10001)
-        fetches = _shuffle_fetches(11, 10001)
+        sizes = (10001,) + (193, 192, 6) * 20
+        for n in sizes:
+            fisher_yates(source, n)
+        fetches = _shuffle_fetches(11, sizes)
     assert source.calls["next_bit"] == source.calls["next_bits"] == 0
     assert source.calls["_fetch"] == fetches
     assert source.tally == source.bits_consumed
