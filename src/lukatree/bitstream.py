@@ -31,9 +31,12 @@ _MASK64 = (1 << 64) - 1
 # The shuffle cuts chunks of up to 256 b-bit blocks off an int and, when
 # fewer than b bits are left, splices the words of the next chunk above
 # them.  At n = 10,001, 64- and 128-block chunks were slower and 512-block
-# chunks no faster.  A chunk costs about a microsecond whatever its size,
-# so a b-range of at most _SHORT_RANGE positions shifts its blocks off one
-# at a time and splices 4 words at a time; the two broke even near 64.
+# chunks no faster.  Cutting and listing a chunk grows with its size: at
+# b = 13 it took 1.45 us for 8 blocks, 3.7 us for 64 and 12.9 us for 256
+# (8.1-8.6 us for 256 at b = 9 and 14), about a third of a shuffle at
+# n = 10,001.  Its fixed part made small shuffles slower, so a b-range of
+# at most _SHORT_RANGE positions shifts its blocks off one at a time and
+# splices 4 words at a time; the two broke even near 64.
 _DIGIT_WORDS = 16
 _SHORT_RANGE = 64
 

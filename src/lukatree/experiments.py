@@ -15,18 +15,23 @@ replotted directly:
   binary ones.  The batch engine draws the trees' valid words as numpy rows,
   and the scalar engine draws their Lukasiewicz words through the bit-level
   pipelines; both measure them with :func:`lukatree.batch.batch_heights`,
-  which reads each row's cycle-lemma rotation without storing it.
+  which reads each row's cycle-lemma rotation without storing it.  Each
+  batch fraction draws from a numpy stream of its own, so the batch engine
+  spreads its fractions over forked processes, one per usable CPU; the
+  scalar engine's fractions share one bit stream and run in turn.
 
 Both harnesses are deterministic for a fixed seed and configuration, down to
-the emitted CSV bytes.
+the emitted CSV bytes, whatever the number of processes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 from numbers import Real
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .alphabet import DegreeTuple, motzkin_alphabet
 from .bitstream import _MASK64, BitSource
@@ -117,8 +122,19 @@ def run_height_scan(
     way, batch_heights measures the chunk: one walk finds each row's
     cycle-lemma rotation (the row itself for a Lukasiewicz word), and the
     height recurrence reads it straight from the words, so the rotated copy
-    is never built.  The run is deterministic for fixed settings; like
-    BitSource, which checks it, the batch engine reads the seed modulo 2^64.
+    is never built.  The batch engine's fraction number i draws from
+    default_rng([seed, i]), so its fractions are independent: they go
+    round-robin to min(usable CPUs, fractions) processes, the caller and
+    children made with os.fork, which write each fraction's mean and
+    standard deviation to a shared mapping; nothing forks on one usable
+    CPU, for one fraction, or while another Python thread runs, where a
+    fork is unsafe.  Each process holds one chunk at a time, and every
+    child has been waited for when the call returns or raises; an error in
+    a child makes the caller measure that child's fractions itself, so it
+    raises there with its own type.  The scalar engine's fractions all run
+    in the caller.  The run is deterministic for fixed settings, whatever
+    the number of processes; like BitSource, which checks it, the batch
+    engine reads the seed modulo 2^64.
     n and replicates must be integers, and unary_fractions an iterable of
     real numbers, which is read once; a row keeps its fraction as a float.  n
     below 1 is a DomainTooSmallError, raised before any unary count is
@@ -149,15 +165,16 @@ def run_height_scan(
     # subcommand other than height-scan, goes without it
     import numpy as np
 
-    from .batch import batch_heights, batch_valid_words
+    from .batch import _mapped, batch_heights, batch_valid_words
 
     alphabet = motzkin_alphabet()
     degrees = alphabet.degrees
     source = BitSource(seed)
-    rows = []
-    for row_idx, fraction in enumerate(unary_fractions):
-        u = nearest_feasible_unary(n, round(fraction * n))
-        t = motzkin_tuple(n, u)
+    tuples = [motzkin_tuple(n, nearest_feasible_unary(n, round(f * n))) for f in unary_fractions]
+
+    def measure(row_idx: int) -> tuple[float, float]:
+        """Mean and standard deviation of the heights of one fraction's trees."""
+        t = tuples[row_idx]
         if engine == "batch":
             rng = np.random.default_rng([int(seed) & _MASK64, row_idx])
         heights = np.empty(replicates, dtype=np.int32)
@@ -170,8 +187,16 @@ def run_height_scan(
                 for row in words:
                     row[:] = sample_lukasiewicz_word(source, t, alphabet, method)
             heights[done : done + m] = batch_heights(words, degrees)
-        c = t.counts[2]
-        mean = float(np.mean(heights))
+        stddev = float(np.std(heights, ddof=1)) if replicates > 1 else 0.0
+        return float(np.mean(heights)), stddev
+
+    # the scalar engine's fractions read one bit stream in turn
+    workers = _workers(len(tuples)) if engine == "batch" else 1
+    stats = _mapped((len(tuples), 2), np.float64)
+    _spread(measure, stats, workers)
+    rows = []
+    for fraction, t, (mean, stddev) in zip(unary_fractions, tuples, stats.tolist()):
+        _, u, c = t.counts
         rows.append(
             ScanRow(
                 fraction=float(fraction),
@@ -182,10 +207,72 @@ def run_height_scan(
                 mean_height=mean,
                 mean_height_over_sqrt_n=mean / math.sqrt(n),
                 mean_norm=mean * math.sqrt(c) / n,
-                stddev=float(np.std(heights, ddof=1)) if replicates > 1 else 0.0,
+                stddev=stddev,
             )
         )
     return rows
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(fractions: int) -> int:
+    """Processes to spread a batch scan's fractions over, the caller included.
+
+    More than one only where forking is safe: os.fork exists and no other
+    Python thread runs, since a thread that holds a lock at the fork leaves
+    it held for good in the child.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), fractions)
+
+
+def _spread(measure: Callable[[int], tuple[float, float]], stats, workers: int) -> None:
+    """Fill row i of stats with measure(i), for every i, on `workers` processes.
+
+    The caller measures rows 0, W, 2W, ... (W = workers) and forked
+    children the rest, child w rows w, w + W, ...; stats must live in a
+    shared mapping, where the children write their rows.  A child leaves
+    with os._exit whatever happens, so it never returns into the caller's
+    stack, flushes the caller's buffered output or runs its exit hooks.
+    Every child is waited for, even when the caller's own rows raise; the
+    caller then measures the rows of any child that failed, or could not be
+    forked, itself, so that an error reaches it with its own type.
+    """
+    count = len(stats)
+    done = set()
+    children = {}
+    try:
+        for w in range(1, workers):
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the caller takes the rest
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    for i in range(w, count, workers):
+                        stats[i] = measure(i)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = w
+        for i in range(0, count, workers):
+            stats[i] = measure(i)
+    finally:
+        for pid, w in children.items():
+            if os.waitpid(pid, 0)[1] == 0:
+                done.add(w)
+    for w in range(1, workers):
+        if w not in done:
+            for i in range(w, count, workers):
+                stats[i] = measure(i)
 
 
 def height_scan_csv(rows: Sequence[ScanRow]) -> str:

@@ -265,7 +265,7 @@ def test_import_leaves_scipy_unloaded():
 NUMPY_PROBE = f"""
 import contextlib, io, sys
 import lukatree, lukatree.cli
-print("import", "numpy" in sys.modules)
+print("import", "numpy" in sys.modules, "multiprocessing" in sys.modules)
 for argv in (
     ["sample", "--alphabet", "{MOTZKIN}", "--tuple", "3,1,2", "--count", "2"],
     ["check", "--alphabet", "{MOTZKIN}", "--word", "cacbaba"],
@@ -273,29 +273,34 @@ for argv in (
     ["enumerate", "--alphabet", "{BINARY}", "--tuple", "3,2"],
     ["render", "--alphabet", "{MOTZKIN}", "--word", "cacbaba"],
     ["bitcost", "--k-max", "3", "--replicates", "5"],
-    ["height-scan", "--n", "11", "--fractions", "0.5", "--replicates", "3"],
+    ["height-scan", "--n", "11", "--fractions", "0,0.5", "--replicates", "3"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         code = lukatree.cli.main(argv)
-    print(argv[0], code, "numpy" in sys.modules)
+    print(argv[0], code, "numpy" in sys.modules, "multiprocessing" in sys.modules)
 """
 
 
 def test_only_the_scans_load_numpy():
-    """Import, bitcost and the scalar subcommands run without numpy; height-scan loads it."""
+    """Import, bitcost and the scalar subcommands run without numpy; height-scan loads it.
+
+    No subcommand loads multiprocessing: importing its pool alone added
+    about 1.6 MiB to a height scan's peak memory, so a scan forks its
+    workers with os.fork.
+    """
     done = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, env=checkout_env()
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "import False",
-        "sample 0 False",
-        "check 0 False",
-        "count 0 False",
-        "enumerate 0 False",
-        "render 0 False",
-        "bitcost 0 False",
-        "height-scan 0 True",
+        "import False False",
+        "sample 0 False False",
+        "check 0 False False",
+        "count 0 False False",
+        "enumerate 0 False False",
+        "render 0 False False",
+        "bitcost 0 False False",
+        "height-scan 0 True False",
     ]
 
 

@@ -1,12 +1,17 @@
+import errno
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import motzkin_height_law
+from conftest import checkout_env, motzkin_height_law
 from lukatree import batch, experiments
 from lukatree import (
     HEIGHT_SCAN_COLUMNS,
@@ -217,6 +222,149 @@ def test_height_scan_rejects_unknown_engine(monkeypatch):
             run_height_scan(
                 n=9, unary_fractions=(0.0,), replicates=4, engine=engine, method=method
             )
+
+
+def counting_forks(monkeypatch) -> list[int]:
+    """Patch os.fork to record, in the caller, the pid of every child it makes."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+# four fractions of two chunks each, so that a worker measures several
+# fractions and each fraction reads its stream across a chunk boundary
+SPREAD_SCAN = dict(n=31, unary_fractions=(0.0, 0.3, 0.6, 0.9), replicates=2050, seed=7)
+
+
+@pytest.mark.parametrize("method", ["dichotomic", "permutation"])
+def test_height_scan_bytes_do_not_depend_on_the_worker_count(monkeypatch, method):
+    forks = counting_forks(monkeypatch)
+    csv = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        csv[cpus] = height_scan_csv(run_height_scan(**SPREAD_SCAN, method=method))
+        assert len(forks) == min(cpus, 4) - 1
+        forks.clear()
+    assert csv[1] == csv[4]
+    assert no_child_left()
+
+
+def test_height_scan_forks_no_more_workers_than_fractions(monkeypatch):
+    forks = counting_forks(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    run_height_scan(15, (0.5,), 4)
+    run_height_scan(15, (0.0, 0.5), 4, engine="scalar")
+    assert forks == []
+    run_height_scan(15, (0.0, 0.5), 4)
+    assert len(forks) == 1
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["children", "caller", "everywhere"])
+def test_height_scan_recovers_from_failed_workers(monkeypatch, failing):
+    # a child that fails has its fractions measured again by the caller, so
+    # an error that is not the child's alone reaches the caller with its type
+    expected = height_scan_csv(run_height_scan(**SPREAD_SCAN))
+    forks = counting_forks(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    caller = os.getpid()
+    heights = batch.batch_heights
+
+    def failing_heights(words, degrees):
+        fails = {
+            "children": os.getpid() != caller,
+            "caller": os.getpid() == caller,
+            "everywhere": True,
+        }
+        if fails[failing]:
+            raise MemoryError("no room for the heights")
+        return heights(words, degrees)
+
+    monkeypatch.setattr(batch, "batch_heights", failing_heights)
+    if failing == "children":
+        assert height_scan_csv(run_height_scan(**SPREAD_SCAN)) == expected
+    else:
+        with pytest.raises(MemoryError, match="no room"):
+            run_height_scan(**SPREAD_SCAN)
+    assert len(forks) == 2
+    assert no_child_left()
+
+
+QUIET_CHILDREN_PROBE = """
+import os
+from lukatree import experiments, height_scan_csv, run_height_scan
+experiments._usable_cpus = lambda: 3
+forks = []
+fork = os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
+print("before")
+print(height_scan_csv(run_height_scan(21, (0.0, 0.4, 0.8), 8, seed=2)), end="")
+print("forks", len(forks))
+"""
+
+
+def test_height_scan_children_leave_the_callers_output_alone():
+    # stdout is a pipe, so "before" sits in the caller's buffer at the fork:
+    # a child that flushed it on the way out would print it twice
+    done = subprocess.run(
+        [sys.executable, "-c", QUIET_CHILDREN_PROBE],
+        capture_output=True, text=True, env=checkout_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    csv = height_scan_csv(run_height_scan(21, (0.0, 0.4, 0.8), 8, seed=2))
+    assert done.stdout == "before\n" + csv + "forks 2\n"
+    assert done.stderr == ""
+
+
+def test_height_scan_does_not_fork_beside_another_thread(monkeypatch):
+    expected = height_scan_csv(run_height_scan(**SPREAD_SCAN))
+
+    def refuse():
+        raise AssertionError("forked while another thread runs")
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", refuse)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert height_scan_csv(run_height_scan(**SPREAD_SCAN)) == expected
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_height_scan_runs_in_the_caller_when_fork_fails(monkeypatch):
+    expected = height_scan_csv(run_height_scan(**SPREAD_SCAN))
+
+    def out_of_processes():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", out_of_processes)
+    assert height_scan_csv(run_height_scan(**SPREAD_SCAN)) == expected
 
 
 def test_bitcost_scan_rows():
