@@ -17,8 +17,9 @@ replotted directly:
   pipelines; both measure them with :func:`lukatree.batch.batch_heights`,
   which reads each row's cycle-lemma rotation without storing it.  Each
   batch fraction draws from a numpy stream of its own, so the batch engine
-  spreads its fractions over forked processes, one per usable CPU; the
-  scalar engine's fractions share one bit stream and run in turn.
+  spreads its fractions over forked processes, one per usable CPU, once a
+  fraction holds enough trees to pay for a fork; the scalar engine's
+  fractions share one bit stream and run in turn.
 
 Both harnesses are deterministic for a fixed seed and configuration, down to
 the emitted CSV bytes, whatever the number of processes.
@@ -56,6 +57,12 @@ __all__ = [
 # of words, and fixes how the batch engine consumes its numpy stream, so a
 # different value would change the batch CSV bytes.
 _CHUNK = 2048
+
+# Tree nodes (n x replicates) a batch fraction must draw before the scan
+# forks: a fork, and the page copies it sets off in both processes, cost a
+# few milliseconds whatever the work, so a smaller fraction runs faster in
+# the caller than it does in a child.
+_FORK_WORK = 1 << 19
 
 
 def motzkin_tuple(n: int, u: int) -> DegreeTuple:
@@ -126,15 +133,17 @@ def run_height_scan(
     default_rng([seed, i]), so its fractions are independent: they go
     round-robin to min(usable CPUs, fractions) processes, the caller and
     children made with os.fork, which write each fraction's mean and
-    standard deviation to a shared mapping; nothing forks on one usable
-    CPU, for one fraction, or while another Python thread runs, where a
-    fork is unsafe.  Each process holds one chunk at a time, and every
-    child has been waited for when the call returns or raises; an error in
-    a child makes the caller measure that child's fractions itself, so it
-    raises there with its own type.  The scalar engine's fractions all run
-    in the caller.  The run is deterministic for fixed settings, whatever
-    the number of processes; like BitSource, which checks it, the batch
-    engine reads the seed modulo 2^64.
+    standard deviation to a shared mapping.  Nothing forks when a fraction
+    draws fewer than _FORK_WORK tree nodes (n * replicates), which a fork
+    would slow down, on one usable CPU, for one fraction, or while another
+    Python thread runs, where a fork is unsafe.  Each process holds one
+    chunk at a time, and every child has been waited for when the call
+    returns or raises; an error in a child, or a child whose exit status
+    is lost, makes the caller measure that child's fractions itself, so an
+    error raises there with its own type.  The scalar engine's fractions
+    all run in the caller.  The run is deterministic for fixed settings,
+    whatever the number of processes; like BitSource, which checks it, the
+    batch engine reads the seed modulo 2^64.
     n and replicates must be integers, and unary_fractions an iterable of
     real numbers, which is read once; a row keeps its fraction as a float.  n
     below 1 is a DomainTooSmallError, raised before any unary count is
@@ -191,7 +200,7 @@ def run_height_scan(
         return float(np.mean(heights)), stddev
 
     # the scalar engine's fractions read one bit stream in turn
-    workers = _workers(len(tuples)) if engine == "batch" else 1
+    workers = _workers(len(tuples), n * replicates) if engine == "batch" else 1
     stats = _mapped((len(tuples), 2), np.float64)
     _spread(measure, stats, workers)
     rows = []
@@ -221,14 +230,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(fractions: int) -> int:
+def _workers(fractions: int, work: int) -> int:
     """Processes to spread a batch scan's fractions over, the caller included.
 
-    More than one only where forking is safe: os.fork exists and no other
-    Python thread runs, since a thread that holds a lock at the fork leaves
-    it held for good in the child.
+    work is the number of tree nodes one fraction draws; below _FORK_WORK
+    the caller keeps every fraction.  More than one only where forking is
+    safe: os.fork exists and no other Python thread runs, since a thread
+    that holds a lock at the fork leaves it held for good in the child.
+    Only Python threads are counted, not native ones.  numpy's bundled
+    OpenBLAS starts a native thread per extra CPU when it loads, but its
+    pthread_atfork handler stops them before every fork, so they hold no
+    lock the child inherits, and the caller runs one thread just after the
+    fork, where Python 3.12+ counts threads to warn of a fork beside them.
     """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    if work < _FORK_WORK or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return min(_usable_cpus(), fractions)
 
@@ -243,7 +258,10 @@ def _spread(measure: Callable[[int], tuple[float, float]], stats, workers: int) 
     stack, flushes the caller's buffered output or runs its exit hooks.
     Every child is waited for, even when the caller's own rows raise; the
     caller then measures the rows of any child that failed, or could not be
-    forked, itself, so that an error reaches it with its own type.
+    forked, itself, so that an error reaches it with its own type.  Where
+    SIGCHLD is ignored the system reaps the children: waitpid then returns
+    once they have all exited and fails, and the caller, which cannot tell
+    whether they finished, measures their rows again.
     """
     count = len(stats)
     done = set()
@@ -267,8 +285,11 @@ def _spread(measure: Callable[[int], tuple[float, float]], stats, workers: int) 
             stats[i] = measure(i)
     finally:
         for pid, w in children.items():
-            if os.waitpid(pid, 0)[1] == 0:
-                done.add(w)
+            try:
+                if os.waitpid(pid, 0)[1] == 0:
+                    done.add(w)
+            except ChildProcessError:  # reaped by the system: status lost
+                pass
     for w in range(1, workers):
         if w not in done:
             for i in range(w, count, workers):

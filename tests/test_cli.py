@@ -273,7 +273,7 @@ for argv in (
     ["enumerate", "--alphabet", "{BINARY}", "--tuple", "3,2"],
     ["render", "--alphabet", "{MOTZKIN}", "--word", "cacbaba"],
     ["bitcost", "--k-max", "3", "--replicates", "5"],
-    ["height-scan", "--n", "11", "--fractions", "0,0.5", "--replicates", "3"],
+    ["height-scan", "--n", "101", "--fractions", "0,0.5", "--replicates", "6000"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         code = lukatree.cli.main(argv)
@@ -286,7 +286,7 @@ def test_only_the_scans_load_numpy():
 
     No subcommand loads multiprocessing: importing its pool alone added
     about 1.6 MiB to a height scan's peak memory, so a scan forks its
-    workers with os.fork.
+    workers with os.fork.  The probe's scan draws enough trees to fork.
     """
     done = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, env=checkout_env()

@@ -239,6 +239,12 @@ def counting_forks(monkeypatch) -> list[int]:
     return forks
 
 
+def spread_over(monkeypatch, cpus: int) -> None:
+    """Report `cpus` usable CPUs, and let scans too small to pay for a fork fork."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "_FORK_WORK", 1)
+
+
 def no_child_left() -> bool:
     try:
         os.waitpid(-1, os.WNOHANG)
@@ -257,7 +263,7 @@ def test_height_scan_bytes_do_not_depend_on_the_worker_count(monkeypatch, method
     forks = counting_forks(monkeypatch)
     csv = {}
     for cpus in (1, 4):
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        spread_over(monkeypatch, cpus)
         csv[cpus] = height_scan_csv(run_height_scan(**SPREAD_SCAN, method=method))
         assert len(forks) == min(cpus, 4) - 1
         forks.clear()
@@ -267,11 +273,26 @@ def test_height_scan_bytes_do_not_depend_on_the_worker_count(monkeypatch, method
 
 def test_height_scan_forks_no_more_workers_than_fractions(monkeypatch):
     forks = counting_forks(monkeypatch)
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    spread_over(monkeypatch, 4)
     run_height_scan(15, (0.5,), 4)
     run_height_scan(15, (0.0, 0.5), 4, engine="scalar")
     assert forks == []
     run_height_scan(15, (0.0, 0.5), 4)
+    assert len(forks) == 1
+    assert no_child_left()
+
+
+def test_height_scan_forks_only_for_fractions_worth_a_fork(monkeypatch):
+    # a fork costs milliseconds whatever the work, so a fraction must draw
+    # _FORK_WORK tree nodes (n * replicates) before a child takes it
+    forks = counting_forks(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    n = 128
+    below = (experiments._FORK_WORK - 1) // n
+    run_height_scan(n, (0.0, 0.5), below)
+    run_height_scan(15, (0.0, 0.5), 4)
+    assert forks == []
+    run_height_scan(n, (0.0, 0.5), below + 1)
     assert len(forks) == 1
     assert no_child_left()
 
@@ -282,7 +303,7 @@ def test_height_scan_recovers_from_failed_workers(monkeypatch, failing):
     # an error that is not the child's alone reaches the caller with its type
     expected = height_scan_csv(run_height_scan(**SPREAD_SCAN))
     forks = counting_forks(monkeypatch)
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    spread_over(monkeypatch, 3)
     caller = os.getpid()
     heights = batch.batch_heights
 
@@ -306,34 +327,85 @@ def test_height_scan_recovers_from_failed_workers(monkeypatch, failing):
     assert no_child_left()
 
 
-QUIET_CHILDREN_PROBE = """
-import os
-from lukatree import experiments, height_scan_csv, run_height_scan
+# a 3-fraction scan on 3 processes in a fresh interpreter, recording forks,
+# the caller's batch_heights calls, and the threads the caller runs right
+# after each fork, which Python 3.12+ reads to warn of a fork beside threads
+PROBE_SCAN = """
+import os, signal
+from lukatree import batch, experiments, height_scan_csv, run_height_scan
 experiments._usable_cpus = lambda: 3
-forks = []
+experiments._FORK_WORK = 1
+caller = os.getpid()
+forks, threads, calls = [], [], []
+
+def threads_now():
+    try:
+        with open("/proc/self/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[17])
+    except OSError:  # no procfs: nothing to read
+        return 1
+
 fork = os.fork
 def counted():
     pid = fork()
     if pid:
         forks.append(pid)
+        threads.append(threads_now())
     return pid
 os.fork = counted
+
+heights = batch.batch_heights
+def counted_heights(words, degrees):
+    if os.getpid() == caller:
+        calls.append(len(words))
+    return heights(words, degrees)
+batch.batch_heights = counted_heights
+"""
+
+QUIET_CHILDREN_PROBE = PROBE_SCAN + """
 print("before")
 print(height_scan_csv(run_height_scan(21, (0.0, 0.4, 0.8), 8, seed=2)), end="")
-print("forks", len(forks))
+print("forks", len(forks), "threads", set(threads), "caller measured", len(calls))
 """
 
 
 def test_height_scan_children_leave_the_callers_output_alone():
     # stdout is a pipe, so "before" sits in the caller's buffer at the fork:
-    # a child that flushed it on the way out would print it twice
+    # a child that flushed it on the way out would print it twice.  The
+    # caller still runs one thread after each fork: numpy's OpenBLAS threads
+    # stop at a fork, so Python 3.12+ has no fork-with-threads warning to give
     done = subprocess.run(
         [sys.executable, "-c", QUIET_CHILDREN_PROBE],
         capture_output=True, text=True, env=checkout_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
     csv = height_scan_csv(run_height_scan(21, (0.0, 0.4, 0.8), 8, seed=2))
-    assert done.stdout == "before\n" + csv + "forks 2\n"
+    assert done.stdout == "before\n" + csv + "forks 2 threads {1} caller measured 1\n"
+    assert done.stderr == ""
+
+
+SIGCHLD_IGNORED_PROBE = PROBE_SCAN + """
+signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+print(height_scan_csv(run_height_scan(21, (0.0, 0.4, 0.8), 8, seed=2)), end="")
+print("forks", len(forks), "caller measured", len(calls))
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_height_scan_survives_ignored_sigchld():
+    # with SIGCHLD ignored the system reaps the children, and waitpid fails
+    # once they are gone: the caller, which cannot tell whether they
+    # finished, measures their fractions again and gives the same bytes
+    done = subprocess.run(
+        [sys.executable, "-c", SIGCHLD_IGNORED_PROBE],
+        capture_output=True, text=True, env=checkout_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    csv = height_scan_csv(run_height_scan(21, (0.0, 0.4, 0.8), 8, seed=2))
+    assert done.stdout == csv + "forks 2 caller measured 3\nno child left\n"
     assert done.stderr == ""
 
 
@@ -343,7 +415,7 @@ def test_height_scan_does_not_fork_beside_another_thread(monkeypatch):
     def refuse():
         raise AssertionError("forked while another thread runs")
 
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    spread_over(monkeypatch, 4)
     monkeypatch.setattr(os, "fork", refuse)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
@@ -362,7 +434,7 @@ def test_height_scan_runs_in_the_caller_when_fork_fails(monkeypatch):
     def out_of_processes():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    spread_over(monkeypatch, 4)
     monkeypatch.setattr(os, "fork", out_of_processes)
     assert height_scan_csv(run_height_scan(**SPREAD_SCAN)) == expected
 
