@@ -20,8 +20,7 @@ from lukatree import (
     enumerate_lukasiewicz,
     motzkin_alphabet,
     motzkin_tuple,
-    sample_lukasiewicz_word,
-    sample_tree,
+    sample_trees,
     serialize,
 )
 
@@ -30,9 +29,10 @@ t = DegreeTuple((3, 1, 2))
 
 print("five uniform trees with 3 leaves, 1 unary, 2 binary (seed 7):")
 source = BitSource(7)
+trees = sample_trees(source, t, alphabet)  # checks t once, then draws on demand
 for _ in range(5):
     before = source.bits_consumed
-    tree = sample_tree(source, t, alphabet)
+    tree = next(trees)
     print(f"  {serialize(tree, 'paren'):24s} cost {source.bits_consumed - before} bits")
 
 support = [tuple(w) for w in enumerate_lukasiewicz(t, alphabet)]
@@ -40,9 +40,10 @@ print(f"\nuniformity check: tuple (3,1,2) has exactly {len(support)} trees;")
 draws = 20_000
 for method in ("dichotomic", "permutation"):
     source = BitSource(1)
+    trees = sample_trees(source, t, alphabet, method)
     tally = {}
     for _ in range(draws):
-        word = tuple(sample_lukasiewicz_word(source, t, alphabet, method))
+        word = next(trees).letters
         tally[word] = tally.get(word, 0) + 1
     counts = [tally.get(w, 0) for w in support]
     mean_bits = source.bits_consumed / draws
@@ -58,7 +59,7 @@ for n in (601, 6001, 60_001):
     row = []
     for method in ("dichotomic", "permutation"):
         source = BitSource(3)
-        sample_lukasiewicz_word(source, t_big, alphabet, method)
+        next(sample_trees(source, t_big, alphabet, method))
         row.append(source.bits_consumed)
     print(f"  {n:7d}   {row[0]:15d}   {row[1]:16d}")
 print("the first column grows linearly in n, the second like n log n")

@@ -54,8 +54,7 @@ from .samplers import (
     DiscreteWeights,
     dichotomic_draw,
     mean_cost_closed_form,
-    sample_lukasiewicz_word,
-    sample_tree,
+    sample_trees,
 )
 from .tree import (
     SERIALIZE_FORMATS,

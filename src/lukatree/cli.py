@@ -32,7 +32,7 @@ from .experiments import (
     run_bitcost_scan,
     run_height_scan,
 )
-from .samplers import sample_tree
+from .samplers import sample_trees
 from .tree import SERIALIZE_FORMATS, PlanarTree, serialize
 from .words import classify, path_heights
 
@@ -130,9 +130,10 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     counts = parse_tuple(args.counts)
     method = _METHOD_NAMES[args.method]
     source = BitSource(args.seed)
+    trees = sample_trees(source, counts, alphabet, method)
     for _ in range(args.count):
         before = source.bits_consumed
-        tree = sample_tree(source, counts, alphabet, method)
+        tree = next(trees)
         line = serialize(tree, args.format)
         if args.count_bits:
             line += f" bits={source.bits_consumed - before}"

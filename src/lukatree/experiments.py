@@ -37,8 +37,7 @@ from typing import Callable, Iterable, Sequence
 from .alphabet import DegreeTuple, motzkin_alphabet
 from .bitstream import _MASK64, BitSource
 from .errors import DomainTooSmallError, InfeasibleParityError, LukatreeError, _is_int
-from .samplers import METHODS, DiscreteWeights, dichotomic_draw, mean_cost_closed_form
-from .samplers import sample_lukasiewicz_word
+from .samplers import METHODS, DiscreteWeights, dichotomic_draw, mean_cost_closed_form, sample_trees
 
 __all__ = [
     "motzkin_tuple",
@@ -124,13 +123,13 @@ def run_height_scan(
     Each fraction maps to u = round(fraction * n), parity-adjusted via
     nearest_feasible_unary.  Replicates go in chunks of at most _CHUNK rows.
     The batch engine (default) draws a chunk's valid words as numpy rows;
-    the scalar engine runs the bit-level pipelines from one BitSource(seed),
-    drawing every tree of the scan in turn as its Lukasiewicz word.  Either
-    way, batch_heights measures the chunk: one walk finds each row's
-    cycle-lemma rotation (the row itself for a Lukasiewicz word), and the
-    height recurrence reads it straight from the words, so the rotated copy
-    is never built.  The batch engine's fraction number i draws from
-    default_rng([seed, i]), so its fractions are independent: they go
+    the scalar engine draws every tree of the scan in turn as its
+    Lukasiewicz word, from one BitSource(seed) through a sample_trees run
+    per fraction.  Either way, batch_heights measures the chunk: one walk
+    finds each row's cycle-lemma rotation (the row itself for a Lukasiewicz
+    word), and the height recurrence reads it straight from the words, so
+    the rotated copy is never built.  The batch engine's fraction number i
+    draws from default_rng([seed, i]), so its fractions are independent: they go
     round-robin to min(usable CPUs, fractions) processes, the caller and
     children made with os.fork, which write each fraction's mean and
     standard deviation to a shared mapping.  Nothing forks when a fraction
@@ -148,7 +147,8 @@ def run_height_scan(
     real numbers, which is read once; a row keeps its fraction as a float.  n
     below 1 is a DomainTooSmallError, raised before any unary count is
     derived from it, and an unknown engine ("batch" or "scalar") or method
-    is a LukatreeError, raised before anything is drawn.
+    is a LukatreeError, raised before anything is drawn, as is a numpy that
+    does not import.
     """
     try:  # read once, so an iterator is not spent by the checks
         unary_fractions = tuple(unary_fractions)
@@ -172,8 +172,10 @@ def run_height_scan(
         raise LukatreeError(f"unknown method {method!r}, expected one of {METHODS}")
     # numpy loads here only, so that importing the package, and every
     # subcommand other than height-scan, goes without it
-    import numpy as np
-
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise LukatreeError(f"the height scan needs numpy, which does not import: {exc}") from None
     from .batch import _mapped, batch_heights, batch_valid_words
 
     alphabet = motzkin_alphabet()
@@ -186,6 +188,8 @@ def run_height_scan(
         t = tuples[row_idx]
         if engine == "batch":
             rng = np.random.default_rng([int(seed) & _MASK64, row_idx])
+        else:
+            trees = sample_trees(source, t, alphabet, method)
         heights = np.empty(replicates, dtype=np.int32)
         for done in range(0, replicates, _CHUNK):
             m = min(_CHUNK, replicates - done)
@@ -194,7 +198,7 @@ def run_height_scan(
             else:
                 words = np.empty((m, n), dtype=np.int8)
                 for row in words:
-                    row[:] = sample_lukasiewicz_word(source, t, alphabet, method)
+                    row[:] = next(trees).letters
             heights[done : done + m] = batch_heights(words, degrees)
         stddev = float(np.std(heights, ddof=1)) if replicates > 1 else 0.0
         return float(np.mean(heights)), stddev

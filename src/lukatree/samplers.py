@@ -21,7 +21,9 @@ of letters and takes each out of the pool.  It lives in
 :mod:`lukatree.bitstream`, beside the source whose unread bits it reads.
 dichotomic_draw runs it once and gives the letter back.
 
-Sampling a uniform tree with letter counts t then goes one of two ways:
+sample_trees checks a counts tuple t once and returns a run: an endless
+iterator whose every next() draws one uniform tree with letter counts t, in
+one of two ways:
 
 permutation -- shuffle 1..n (Theta(n log n) bits), block-fill a valid word,
                rotate it Lukasiewicz;
@@ -38,7 +40,7 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .alphabet import CountsLike, TreeAlphabet, f_valid_counts
 from .bitstream import BitSource, _draw_letters, fisher_yates
@@ -50,8 +52,7 @@ from .words import _place_blocks, to_lukasiewicz
 __all__ = [
     "DiscreteWeights",
     "dichotomic_draw",
-    "sample_tree",
-    "sample_lukasiewicz_word",
+    "sample_trees",
     "mean_cost_closed_form",
     "METHODS",
 ]
@@ -124,23 +125,27 @@ def dichotomic_draw(source: BitSource, weights: DiscreteWeights) -> int:
     return letter
 
 
-def sample_lukasiewicz_word(
+def sample_trees(
     source: BitSource,
     t: CountsLike,
     alphabet: TreeAlphabet,
     method: str = "dichotomic",
-) -> tuple[int, ...]:
-    """Uniform Lukasiewicz word with letter counts t, by either pipeline.
+) -> Iterator[PlanarTree]:
+    """An endless run of uniform rooted planar trees with letter counts t.
 
-    The counts are checked before any bit is read: they must be f-valid, and
-    their total n no more than a list can hold (sys.maxsize), else a
-    LimitExceededError.  The dichotomic fill draws each letter with
-    probability proportional to its remaining count, so every arrangement of
-    the multiset is equally likely, at below (2 + log2 k) expected bits a
-    letter; the last letter is forced and free.  Its draws and decrements
-    are those of dichotomic_draw and DiscreteWeights.decrement, in one loop
-    over a plain list.  The shuffle's permutation goes to the unchecked
-    block fill, words._place_blocks.
+    The method and the counts are checked once, at the call, before any bit
+    is read: the counts must be f-valid, and their total n no more than a
+    list can hold (sys.maxsize), else a LimitExceededError.  Each next()
+    draws a uniform valid word from source and rotates it to its
+    Lukasiewicz representative, which the tree keeps as tree.letters; the
+    rotation has proved the word, so tree._unchecked_tree wraps it without
+    the constructor's walk.  The dichotomic fill draws each letter with
+    probability proportional to its remaining count, at below (2 + log2 k)
+    expected bits a letter, the last one free: the draws and decrements of
+    dichotomic_draw and DiscreteWeights.decrement, in one loop over a plain
+    list.  The shuffle goes to the unchecked block fill, words._place_blocks.
+    Each tree reads fresh bits, so a run's trees are independent, and each
+    is uniform by the cycle lemma.
     """
     if method not in METHODS:
         raise LukatreeError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -150,29 +155,16 @@ def sample_lukasiewicz_word(
         raise LimitExceededError(
             f"tuple total {n} is more letters than a list can hold ({sys.maxsize})"
         )
-    if method == "dichotomic":
-        word = _draw_letters(source, list(counts), n, n)
-    else:
-        word = _place_blocks(fisher_yates(source, n), counts)
-    return to_lukasiewicz(word, alphabet)
 
+    def trees() -> Iterator[PlanarTree]:  # a generator of its own, so the checks run at the call
+        while True:
+            if method == "dichotomic":
+                word = _draw_letters(source, list(counts), n, n)
+            else:
+                word = _place_blocks(fisher_yates(source, n), counts)
+            yield _unchecked_tree(alphabet, to_lukasiewicz(word, alphabet))
 
-def sample_tree(
-    source: BitSource,
-    t: CountsLike,
-    alphabet: TreeAlphabet,
-    method: str = "dichotomic",
-) -> PlanarTree:
-    """Uniform rooted planar tree with letter counts t.
-
-    Thin composition: sample a valid word (by the chosen method), rotate it
-    to the Lukasiewicz representative, wrap it as a tree.  The rotation has
-    proved the word, a tuple of ints, so tree._unchecked_tree wraps it as
-    it is, without walking its path again as PlanarTree's constructor
-    would.  Uniformity over trees follows from uniformity over valid words plus the cycle lemma.
-    """
-    word = sample_lukasiewicz_word(source, t, alphabet, method)
-    return _unchecked_tree(alphabet, word)
+    return trees()
 
 
 def mean_cost_closed_form(k: int) -> Fraction:

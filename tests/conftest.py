@@ -25,7 +25,6 @@ from itertools import permutations
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
 import pytest
 
 from lukatree import BitSource
@@ -148,6 +147,8 @@ class ScriptedGenerator:
     """
 
     def __init__(self, n: int):
+        import numpy as np  # only the batch engine's tests need numpy
+
         self.n = n
         self.reps = math.factorial(n)
         self.rows = np.arange(self.reps, dtype=np.int64)
@@ -163,6 +164,8 @@ class ScriptedGenerator:
         return digits
 
     def permuted(self, words, axis, out):
+        import numpy as np
+
         assert axis == 1 and out is words
         assert words.shape == (self.reps, self.n)
         assert (words == words[0]).all(), "permuted expects one base row, tiled"

@@ -33,7 +33,7 @@ from lukatree import (
     rotations_that_are_lukasiewicz,
     run_bitcost_scan,
     run_height_scan,
-    sample_lukasiewicz_word,
+    sample_trees,
     to_lukasiewicz,
     tutte_count,
     valid_word_count,
@@ -145,7 +145,7 @@ def test_criterion_4_both_pipelines_uniform():
     support = {tuple(w) for w in enumerate_lukasiewicz(t, MOTZKIN)}
     laws = {
         method: exact_distribution(
-            lambda src: tuple(sample_lukasiewicz_word(src, t, MOTZKIN, method)),
+            lambda src: next(sample_trees(src, t, MOTZKIN, method)).letters,
             max_depth=depth,
         )
         for method, depth in (("dichotomic", 30), ("permutation", 14))
@@ -226,11 +226,11 @@ def test_criterion_7_linear_vs_nlogn_bits():
     k = 3
 
     source = BitSource(0)
-    sample_lukasiewicz_word(source, t, MOTZKIN, method="dichotomic")
+    next(sample_trees(source, t, MOTZKIN, method="dichotomic"))
     dicho_bits = source.bits_consumed
 
     source = BitSource(1)
-    sample_lukasiewicz_word(source, t, MOTZKIN, method="permutation")
+    next(sample_trees(source, t, MOTZKIN, method="permutation"))
     perm_bits = source.bits_consumed
 
     budget = n * (2 + math.log2(k))
@@ -263,6 +263,7 @@ def height_scans():
     return base, big_zero, halves
 
 
+@pytest.mark.numpy
 def test_criterion_8a_height_grows_with_unary_fraction(height_scans):
     base, _, _ = height_scans
     values = [row.mean_height_over_sqrt_n for row in base]
@@ -275,6 +276,7 @@ def test_criterion_8a_height_grows_with_unary_fraction(height_scans):
     )
 
 
+@pytest.mark.numpy
 def test_criterion_8b_normalized_height_is_stable(height_scans):
     base, big_zero, _ = height_scans
     ratio = big_zero[0].mean_norm / base[0].mean_norm
@@ -287,6 +289,7 @@ def test_criterion_8b_normalized_height_is_stable(height_scans):
     )
 
 
+@pytest.mark.numpy
 def test_criterion_8c_halving_binary_nodes_scales_height(height_scans):
     _, _, halves = height_scans
     few_binary, many_binary = halves[0], halves[1]

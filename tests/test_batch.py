@@ -26,11 +26,13 @@ from lukatree import (
     motzkin_tuple,
     nearest_feasible_unary,
     parse_alphabet,
-    sample_lukasiewicz_word,
+    sample_trees,
     to_lukasiewicz,
     word_to_tree,
 )
 from lukatree.batch import batch_heights, batch_rotate, batch_valid_words
+
+pytestmark = pytest.mark.numpy  # the whole module needs numpy
 
 
 def rows_to_heights(rows, alphabet):
@@ -400,7 +402,7 @@ def test_batch_law_agrees_with_scalar_pipelines(motzkin):
     for method in METHODS:
         rows = tally(batch_rotate(scripted_rows(t, method), motzkin.degrees))
         scalar, residual = exact_distribution(
-            lambda src: tuple(sample_lukasiewicz_word(src, t, motzkin, method)),
+            lambda src: next(sample_trees(src, t, motzkin, method)).letters,
             max_depth=30,
         )
         assert residual < Fraction(1, 10**6)

@@ -1,3 +1,4 @@
+import array
 import itertools
 import random
 import subprocess
@@ -16,7 +17,7 @@ from lukatree import (
     fisher_yates,
     uniform_int,
 )
-from lukatree.bitstream import _draw_letters
+from lukatree.bitstream import _BIG_ENDIAN, _draw_letters, _slots
 
 
 def test_determinism_and_bit_values():
@@ -391,6 +392,30 @@ def test_import_builds_no_shuffle_masks():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0\n"
+
+
+@pytest.mark.parametrize("count", [256, 37, 1])
+@pytest.mark.parametrize("b", [3, 9, 13, 33])
+def test_a_chunks_slots_read_in_block_order_in_either_byte_order(b, count):
+    # fisher_yates spreads a chunk's blocks into slots with _slots' rounds and
+    # reads the slots as native ints, reversing them on a big-endian machine
+    # (_BIG_ENDIAN): both reads must give block k in slot k
+    packed = random.Random(b * 1000 + count).getrandbits(count * b)
+    want = [packed >> k * b & ((1 << b) - 1) for k in range(count)]
+    fmt, size, rounds = _slots(b)
+    chunk = packed
+    for mask, shift in rounds[8 - (count - 1).bit_length() :]:
+        moved = chunk & mask
+        chunk = chunk ^ moved | moved << shift
+    native = memoryview(chunk.to_bytes(count * size, sys.byteorder)).cast(fmt).tolist()
+    if _BIG_ENDIAN:
+        native.reverse()
+    assert native == want
+    big = array.array(fmt, chunk.to_bytes(count * size, "big"))  # each slot as big-endian...
+    if sys.byteorder == "little":
+        big.byteswap()  # ...read as a big-endian machine reads it
+    assert big.itemsize == size
+    assert list(reversed(big)) == want
 
 
 class _TalliedSource(BitSource):

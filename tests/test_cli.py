@@ -183,6 +183,7 @@ def test_flag_misuse_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.numpy
 def test_height_scan_smoke(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -281,6 +282,7 @@ for argv in (
 """
 
 
+@pytest.mark.numpy
 def test_only_the_scans_load_numpy():
     """Import, bitcost and the scalar subcommands run without numpy; height-scan loads it.
 
@@ -320,6 +322,7 @@ PINNED_SCANS = {
 }
 
 
+@pytest.mark.numpy
 @pytest.mark.parametrize("method", sorted(PINNED_SCANS))
 def test_height_scan_pinned_csv(capsys, method):
     code, out, err = run_cli(
@@ -363,6 +366,7 @@ PINNED_CHUNKED_SCANS = {
 }
 
 
+@pytest.mark.numpy
 @pytest.mark.parametrize("engine, method", sorted(PINNED_CHUNKED_SCANS))
 def test_height_scan_pinned_csv_across_a_chunk(capsys, engine, method):
     code, out, err = run_cli(
@@ -385,6 +389,7 @@ def test_height_scan_pinned_csv_across_a_chunk(capsys, engine, method):
     assert out == HEIGHT_SCAN_COLUMNS + "\n" + PINNED_CHUNKED_SCANS[engine, method]
 
 
+@pytest.mark.numpy
 def test_batch_scan_never_builds_the_rotation(capsys, monkeypatch):
     # the batch engine measures each chunk's rotation through a gather from
     # the words, so the rotated copy that batch_rotate returns is never made
@@ -454,6 +459,24 @@ def test_memory_error_is_one_error_line(capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("lukatree: error:"), lines
 
 
+@pytest.mark.parametrize("engine", ["batch", "scalar"])
+def test_height_scan_without_numpy_is_one_error_line(engine):
+    # a None entry in sys.modules makes `import numpy` fail as if it were missing
+    probe = (
+        "import sys; sys.modules['numpy'] = None; from lukatree import cli; "
+        "sys.exit(cli.main(['height-scan', '--n', '15', '--fractions', '0.5', "
+        f"'--replicates', '4', '--engine', '{engine}']))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=checkout_env()
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lukatree: error:"), lines
+    assert "numpy" in lines[0]
+
+
+@pytest.mark.numpy
 def test_height_scan_negative_seed_is_read_modulo_2_64(capsys):
     argv = ("height-scan", "--n", "21", "--fractions", "0,0.5", "--replicates", "8")
     code, out, err = run_cli(capsys, *argv, "--seed", "-5")

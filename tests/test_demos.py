@@ -13,13 +13,18 @@ import pytest
 from conftest import checkout_env
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+NEEDS_NUMPY = {"height_profile"}
 
 
 def test_demos_exist():
     assert DEMOS, "no demos found"
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+@pytest.mark.parametrize(
+    "demo",
+    [pytest.param(d, marks=pytest.mark.numpy) if d.stem in NEEDS_NUMPY else d for d in DEMOS],
+    ids=lambda path: path.stem,
+)
 def test_demo_runs(demo):
     done = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, env=checkout_env()

@@ -31,6 +31,8 @@ from lukatree import (
     word_to_tree,
 )
 
+pytestmark = pytest.mark.numpy  # the whole module needs numpy
+
 
 def test_motzkin_tuple_values():
     assert motzkin_tuple(7, 0) == DegreeTuple((4, 0, 3))
@@ -209,7 +211,7 @@ def test_height_scan_rejects_unknown_engine(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("sampled before the config was checked")
 
-    for name in ("BitSource", "sample_lukasiewicz_word", "motzkin_tuple"):
+    for name in ("BitSource", "sample_trees", "motzkin_tuple"):
         monkeypatch.setattr(experiments, name, never)
     # run_height_scan imports the batch sampler at call time
     monkeypatch.setattr(batch, "batch_valid_words", never)

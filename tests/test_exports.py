@@ -19,7 +19,13 @@ MODULES = sorted(
 )
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.numpy) if name == "lukatree.batch" else name
+        for name in MODULES
+    ],
+)
 def test_all_names_exist(name):
     module = importlib.import_module(name)
     missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
@@ -89,8 +95,8 @@ def test_only_bitsource_init_binds_the_unread_bits():
     assert found == []
 
 
-def test_only_sample_tree_builds_unchecked_trees():
-    # PlanarTree checks its word; only sample_tree, whose rotation has proved
+def test_only_sample_trees_builds_unchecked_trees():
+    # PlanarTree checks its word; only sample_trees, whose rotation has proved
     # the word, may build a tree through _unchecked_tree, which checks nothing
     found = []
     for path in Path(lukatree.__file__).parent.glob("*.py"):
@@ -105,7 +111,7 @@ def test_only_sample_tree_builds_unchecked_trees():
             for node in ast.walk(module)
             if "_unchecked_tree" in (getattr(node, "id", None), getattr(node, "attr", None))
         ]
-    assert found == ["samplers.py sample_tree"]
+    assert found == ["samplers.py sample_trees"]
 
 
 def test_only_samplers_runs_the_draw_loop():
@@ -196,6 +202,7 @@ def _loaded_names(path):
     }
 
 
+@pytest.mark.numpy
 def test_every_public_name_has_a_reader():
     # a name in some __all__ that only the tests and its own module read is
     # a dead export: the module can keep it private

@@ -39,13 +39,15 @@ from lukatree import (
     permutation_to_valid_word,
     run_bitcost_scan,
     run_height_scan,
-    sample_tree,
+    sample_trees,
     serialize,
     to_lukasiewicz,
     uniform_int,
     word_to_tree,
 )
 from lukatree.batch import batch_valid_words
+
+pytestmark = pytest.mark.numpy  # the whole module needs numpy
 
 MOTZKIN = motzkin_alphabet()
 ALPHABETS = st.sampled_from([MOTZKIN, binary_alphabet()])
@@ -141,10 +143,21 @@ def _decremented(index):
     return pool.weights
 
 
+@pytest.mark.parametrize(
+    "t, method", [((2, 0, 1), "bogus"), ((2, 1, 1, 1), "dichotomic"), ((1, 0, 1), "permutation")]
+)
+def test_sample_trees_checks_at_the_call(t, method):
+    # a bad method or tuple raises when the run is made, before any next()
+    source = BitSource(0)
+    with pytest.raises(LukatreeError):
+        sample_trees(source, t, MOTZKIN, method)
+    assert source.bits_consumed == 0
+
+
 # call of one integer argument -> a value it takes
 INTEGER_ARGUMENTS = {
     "DegreeTuple": (lambda x: DegreeTuple((2, x, 1)), 1),
-    "sample_tree": (lambda x: sample_tree(BitSource(0), (2, x, 1), MOTZKIN), 1),
+    "sample_trees": (lambda x: next(sample_trees(BitSource(0), (2, x, 1), MOTZKIN)), 1),
     "TreeAlphabet": (lambda x: TreeAlphabet(("a", "b"), (-1, x)), 0),
     "DiscreteWeights": (lambda x: DiscreteWeights([2, x]).weights, 1),
     "decrement": (_decremented, 1),

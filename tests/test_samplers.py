@@ -30,8 +30,7 @@ from lukatree import (
     mean_cost_closed_form,
     parse_alphabet,
     permutation_to_valid_word,
-    sample_lukasiewicz_word,
-    sample_tree,
+    sample_trees,
     serialize,
     to_lukasiewicz,
     uniform_int,
@@ -119,7 +118,7 @@ def test_draw_matches_the_reference_draw(ws, seed, draws):
 
 
 def _fill(source, counts):
-    """The dichotomic word fill of sample_lukasiewicz_word, before the rotation."""
+    """The dichotomic word fill of a sample_trees run, before the rotation."""
     n = sum(counts)
     return tuple(_draw_letters(source, list(counts), n, n))
 
@@ -370,7 +369,7 @@ def test_word_sampler_bit_budget(motzkin):
     reps = 2000
     before = source.bits_consumed
     for _ in range(reps):
-        sample_lukasiewicz_word(source, t, motzkin, method="dichotomic")
+        next(sample_trees(source, t, motzkin, method="dichotomic"))
     mean = (source.bits_consumed - before) / reps
     assert mean <= 6 * (2 + math.log2(3))
 
@@ -379,17 +378,17 @@ def test_sample_tree_properties(motzkin):
     t = DegreeTuple((3, 2, 2))
     for method in ("dichotomic", "permutation"):
         source = BitSource(99)
-        tree = sample_tree(source, t, motzkin, method=method)
+        tree = next(sample_trees(source, t, motzkin, method=method))
         assert tuple(tree.letters.count(i) for i in range(motzkin.k)) == t.counts
-        again = sample_tree(BitSource(99), t, motzkin, method=method)
+        again = next(sample_trees(BitSource(99), t, motzkin, method=method))
         assert tree.letters == again.letters and tree.children == again.children
     with pytest.raises(LukatreeError, match="unknown method 'bogus'"):
-        sample_tree(BitSource(0), t, motzkin, method="bogus")
+        sample_trees(BitSource(0), t, motzkin, method="bogus")
 
 
 def test_sample_tree_singleton(motzkin):
     source = BitSource(0)
-    tree = sample_tree(source, (1, 0, 0), motzkin)
+    tree = next(sample_trees(source, (1, 0, 0), motzkin))
     assert serialize(tree, "paren") == "a"
     assert source.bits_consumed == 0
 
@@ -400,7 +399,7 @@ def test_both_pipelines_check_the_tuple_before_drawing(motzkin, t):
     for method in ("dichotomic", "permutation"):
         source = BitSource(5)
         with pytest.raises(TupleNotValidError) as caught:
-            sample_lukasiewicz_word(source, t, motzkin, method=method)
+            sample_trees(source, t, motzkin, method=method)
         assert source.bits_consumed == 0, method
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
@@ -411,7 +410,7 @@ def test_a_total_no_list_can_hold_is_rejected_before_drawing(method):
     half = sys.maxsize // 2 + 1  # n = 2 * half + 1 > sys.maxsize
     source = BitSource(5)
     with pytest.raises(LimitExceededError, match=str(2 * half + 1)):
-        sample_lukasiewicz_word(source, (half + 1, half), parse_alphabet("a:-1,c:1"), method)
+        sample_trees(source, (half + 1, half), parse_alphabet("a:-1,c:1"), method)
     assert source.bits_consumed == 0
 
 
@@ -434,7 +433,7 @@ def test_permutation_sampler_is_the_public_composition(pair, seed, skip):
     alphabet, counts = pair
     sampler, composed = BitSource(seed), BitSource(seed)
     assert sampler.next_bits(skip) == composed.next_bits(skip)
-    word = sample_lukasiewicz_word(sampler, counts, alphabet, "permutation")
+    word = next(sample_trees(sampler, counts, alphabet, "permutation")).letters
     sigma = fisher_yates(composed, sum(counts))
     assert word == to_lukasiewicz(permutation_to_valid_word(sigma, counts, alphabet), alphabet)
     assert sampler.bits_consumed == composed.bits_consumed
@@ -446,7 +445,7 @@ def test_permutation_sampler_does_not_recheck_its_shuffle(monkeypatch, motzkin):
 
     for module in (words, samplers, lukatree):
         monkeypatch.setattr(module, "permutation_to_valid_word", refuse, raising=False)
-    word = sample_lukasiewicz_word(BitSource(3), (40, 21, 39), motzkin, "permutation")
+    word = next(sample_trees(BitSource(3), (40, 21, 39), motzkin, "permutation")).letters
     assert tuple(word.count(i) for i in range(3)) == (40, 21, 39)
 
 
@@ -457,7 +456,7 @@ def test_pipelines_agree_in_law(motzkin):
     support = {tuple(w) for w in enumerate_lukasiewicz(t, motzkin)}
     for method in METHODS:
         probs, residual = exact_distribution(
-            lambda src: tuple(sample_lukasiewicz_word(src, t, motzkin, method)),
+            lambda src: next(sample_trees(src, t, motzkin, method)).letters,
             max_depth=30,
         )
         assert residual < Fraction(1, 10**6)
@@ -510,3 +509,21 @@ def test_decrement_takes_one_off_the_picked_weight(ws, picks):
             weights.decrement(index)
             expected[index] -= 1
         assert weights.weights == tuple(expected)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_runs_consecutive_trees_are_independent_and_uniform(motzkin, method):
+    # two trees drawn one after the other from one run: their joint law is
+    # uniform on the 3 x 3 pairs, so the second is independent of the first
+    t = (2, 1, 1)
+    support = [tuple(w) for w in enumerate_lukasiewicz(t, motzkin)]
+    probs, residual = exact_distribution(
+        lambda src: (next(it := sample_trees(src, t, motzkin, method)).letters, next(it).letters),
+        max_depth=18,
+    )
+    assert residual < Fraction(1, 100)
+    assert set(probs) == {(a, b) for a in support for b in support}
+    for mass in probs.values():
+        assert abs(mass - Fraction(1, 9)) <= residual
+    if method == "permutation":
+        assert len(set(probs.values())) == 1
