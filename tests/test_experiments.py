@@ -8,11 +8,10 @@ import threading
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from conftest import checkout_env, motzkin_height_law
-from lukatree import batch, experiments
+from lukatree import experiments
 from lukatree import (
     HEIGHT_SCAN_COLUMNS,
     DegreeTuple,
@@ -30,8 +29,6 @@ from lukatree import (
     run_height_scan,
     word_to_tree,
 )
-
-pytestmark = pytest.mark.numpy  # the whole module needs numpy
 
 
 def test_motzkin_tuple_values():
@@ -64,6 +61,7 @@ def test_nearest_feasible_unary():
         motzkin_tuple(n, u)  # must not raise
 
 
+@pytest.mark.numpy
 def test_height_scan_deterministic_and_consistent():
     cfg = dict(n=25, unary_fractions=(0.0, 0.4, 0.8), replicates=200)
     rows = run_height_scan(**cfg)
@@ -82,6 +80,7 @@ def test_height_scan_deterministic_and_consistent():
         assert row.stddev > 0
 
 
+@pytest.mark.numpy
 def test_height_scan_csv_shape():
     rows = run_height_scan(n=15, unary_fractions=(0.0, 0.5), replicates=50, seed=3)
     text = height_scan_csv(rows)
@@ -93,20 +92,25 @@ def test_height_scan_csv_shape():
     assert first[0] == "0.0" and first[3] == "15" and first[4] == "50"
 
 
+@pytest.mark.numpy
 def test_height_scan_reads_the_fractions_once():
     # the checks and the scan share one pass, so a generator is not spent
     rows = run_height_scan(15, (0.0, 0.5), 4, seed=3)
     assert run_height_scan(15, (f for f in (0.0, 0.5)), 4, seed=3) == rows
 
 
+@pytest.mark.numpy
 def test_height_scan_csv_writes_a_fraction_as_a_float():
     # a numpy float or a bool fraction is the float it stands for, in the row and the CSV
+    import numpy as np
+
     rows = run_height_scan(11, (np.float64(0.5), False), 2)
     assert rows == run_height_scan(11, (0.5, 0.0), 2)
     assert [type(row.fraction) for row in rows] == [float, float]
     assert [line.split(",")[0] for line in height_scan_csv(rows).splitlines()[1:]] == ["0.5", "0.0"]
 
 
+@pytest.mark.numpy
 def test_height_scan_scalar_engine_agrees_with_batch():
     fractions = (0.0, 0.6)
     batch = run_height_scan(n=15, unary_fractions=fractions, replicates=3000, seed=1)
@@ -137,6 +141,7 @@ def test_height_law_oracle_matches_enumeration(motzkin):
             assert motzkin_height_law(u, t.counts[2]) == law, t
 
 
+@pytest.mark.numpy
 @pytest.mark.parametrize("engine,replicates", [("batch", 20_000), ("scalar", 2_000)])
 def test_height_scan_mean_matches_the_exact_law(engine, replicates):
     rows = run_height_scan(
@@ -150,6 +155,7 @@ def test_height_scan_mean_matches_the_exact_law(engine, replicates):
         assert abs(row.mean_height - mean) < 4 * stderr, (row, float(mean))
 
 
+@pytest.mark.numpy
 def test_scalar_height_scan_seeds_draw_distinct_trees():
     def scan(seed):
         rows = run_height_scan(
@@ -197,6 +203,7 @@ def test_height_scan_rejects_n_past_the_int32_path(engine):
         run_height_scan(n=2**31 + 1, unary_fractions=(0.0,), replicates=1, engine=engine)
 
 
+@pytest.mark.numpy
 def test_height_scan_reads_the_seed_modulo_2_64():
     def scan(seed):
         return run_height_scan(n=21, unary_fractions=(0.5,), replicates=16, seed=seed)
@@ -205,9 +212,12 @@ def test_height_scan_reads_the_seed_modulo_2_64():
     assert scan(-1) != scan(1)
 
 
+@pytest.mark.numpy
 def test_height_scan_rejects_unknown_engine(monkeypatch):
     # the engine and the method are config checks: they fail the same way,
     # for either engine, before anything is sampled
+    from lukatree import batch
+
     def never(*args, **kwargs):
         raise AssertionError("sampled before the config was checked")
 
@@ -260,6 +270,7 @@ def no_child_left() -> bool:
 SPREAD_SCAN = dict(n=31, unary_fractions=(0.0, 0.3, 0.6, 0.9), replicates=2050, seed=7)
 
 
+@pytest.mark.numpy
 @pytest.mark.parametrize("method", ["dichotomic", "permutation"])
 def test_height_scan_bytes_do_not_depend_on_the_worker_count(monkeypatch, method):
     forks = counting_forks(monkeypatch)
@@ -273,6 +284,7 @@ def test_height_scan_bytes_do_not_depend_on_the_worker_count(monkeypatch, method
     assert no_child_left()
 
 
+@pytest.mark.numpy
 def test_height_scan_forks_no_more_workers_than_fractions(monkeypatch):
     forks = counting_forks(monkeypatch)
     spread_over(monkeypatch, 4)
@@ -284,6 +296,7 @@ def test_height_scan_forks_no_more_workers_than_fractions(monkeypatch):
     assert no_child_left()
 
 
+@pytest.mark.numpy
 def test_height_scan_forks_only_for_fractions_worth_a_fork(monkeypatch):
     # a fork costs milliseconds whatever the work, so a fraction must draw
     # _FORK_WORK tree nodes (n * replicates) before a child takes it
@@ -299,10 +312,13 @@ def test_height_scan_forks_only_for_fractions_worth_a_fork(monkeypatch):
     assert no_child_left()
 
 
+@pytest.mark.numpy
 @pytest.mark.parametrize("failing", ["children", "caller", "everywhere"])
 def test_height_scan_recovers_from_failed_workers(monkeypatch, failing):
     # a child that fails has its fractions measured again by the caller, so
     # an error that is not the child's alone reaches the caller with its type
+    from lukatree import batch
+
     expected = height_scan_csv(run_height_scan(**SPREAD_SCAN))
     forks = counting_forks(monkeypatch)
     spread_over(monkeypatch, 3)
@@ -371,6 +387,7 @@ print("forks", len(forks), "threads", set(threads), "caller measured", len(calls
 """
 
 
+@pytest.mark.numpy
 def test_height_scan_children_leave_the_callers_output_alone():
     # stdout is a pipe, so "before" sits in the caller's buffer at the fork:
     # a child that flushed it on the way out would print it twice.  The
@@ -397,6 +414,7 @@ except ChildProcessError:
 """
 
 
+@pytest.mark.numpy
 def test_height_scan_survives_ignored_sigchld():
     # with SIGCHLD ignored the system reaps the children, and waitpid fails
     # once they are gone: the caller, which cannot tell whether they
@@ -411,6 +429,7 @@ def test_height_scan_survives_ignored_sigchld():
     assert done.stderr == ""
 
 
+@pytest.mark.numpy
 def test_height_scan_does_not_fork_beside_another_thread(monkeypatch):
     expected = height_scan_csv(run_height_scan(**SPREAD_SCAN))
 
@@ -430,6 +449,7 @@ def test_height_scan_does_not_fork_beside_another_thread(monkeypatch):
     assert not thread.is_alive()
 
 
+@pytest.mark.numpy
 def test_height_scan_runs_in_the_caller_when_fork_fails(monkeypatch):
     expected = height_scan_csv(run_height_scan(**SPREAD_SCAN))
 

@@ -6,10 +6,10 @@ a feasible unary count makes a Motzkin tuple, and batch rows, zero or more,
 hold the counts.  Fed a float (even 2.0) or a numeric string where an
 integer belongs, every call raises a LukatreeError; a numpy int or a bool
 passes as the int it stands for.
-The sizes stay small, so no call allocates much.
+The sizes stay small, so no call allocates much.  Only the batch engine's
+calls and the numpy-int stand-ins need numpy; they carry the `numpy` marker.
 """
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -45,9 +45,6 @@ from lukatree import (
     uniform_int,
     word_to_tree,
 )
-from lukatree.batch import batch_valid_words
-
-pytestmark = pytest.mark.numpy  # the whole module needs numpy
 
 MOTZKIN = motzkin_alphabet()
 ALPHABETS = st.sampled_from([MOTZKIN, binary_alphabet()])
@@ -105,13 +102,21 @@ def test_unary_counts(n, u):
         assert sum(motzkin_tuple(n, nearest).counts) == n
 
 
+def _batch_words(counts, reps, method="dichotomic"):
+    import numpy as np
+    from lukatree.batch import batch_valid_words
+
+    return batch_valid_words(np.random.default_rng(0), counts, reps, method)
+
+
+@pytest.mark.numpy
 @pytest.mark.parametrize("method", METHODS)
 @settings(max_examples=100, deadline=None)
 @given(counts=INT_LISTS, reps=INTS)
 @example(counts=[2, 0, 1], reps=-1)
 @example(counts=[2, 0, 1], reps=0)
 def test_batch_valid_words(method, counts, reps):
-    words = _call(batch_valid_words, np.random.default_rng(0), tuple(counts), reps, method)
+    words = _call(_batch_words, tuple(counts), reps, method)
     if words is not None:
         assert reps >= 0
         assert words.shape == (reps, sum(counts))
@@ -183,13 +188,15 @@ INTEGER_ARGUMENTS = {
     "run_height_scan.seed.scalar": (
         lambda x: height_scan_csv(run_height_scan(5, (0.5,), 2, seed=x, engine="scalar")), 1
     ),
-    "batch_valid_words.counts": (
-        lambda x: batch_valid_words(np.random.default_rng(0), (2, 0, x), 2).tolist(), 1
-    ),
-    "batch_valid_words.reps": (
-        lambda x: batch_valid_words(np.random.default_rng(0), (2, 0, 1), x).tolist(), 2
-    ),
+    "batch_valid_words.counts": (lambda x: _batch_words((2, 0, x), 2).tolist(), 1),
+    "batch_valid_words.reps": (lambda x: _batch_words((2, 0, 1), x).tolist(), 2),
 }
+# the height scans and the batch sampler need numpy
+NEEDS_NUMPY = ("run_height_scan", "batch_valid_words")
+INTEGER_ARGUMENT_NAMES = [
+    pytest.param(name, marks=[pytest.mark.numpy] if name.startswith(NEEDS_NUMPY) else [])
+    for name in sorted(INTEGER_ARGUMENTS)
+]
 NOT_INTS = st.one_of(
     INTS.map(float),
     st.floats(-3, 12),
@@ -198,7 +205,7 @@ NOT_INTS = st.one_of(
 )
 
 
-@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+@pytest.mark.parametrize("name", INTEGER_ARGUMENT_NAMES)
 @settings(max_examples=40, deadline=None)
 @given(value=NOT_INTS)
 @example(value=1.0)
@@ -209,8 +216,11 @@ def test_non_integers_are_refused(name, value):
         call(value)
 
 
+@pytest.mark.numpy
 @pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
 def test_numpy_ints_and_bools_pass_as_ints(name):
+    import numpy as np
+
     call, good = INTEGER_ARGUMENTS[name]
     want = call(good)
     for stand_in in (np.int64(good), np.int8(good), *([bool(good)] if good in (0, 1) else [])):
